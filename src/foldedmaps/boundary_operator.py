@@ -24,7 +24,6 @@ from .harmonic import (BoundaryLoopSamples, ExteriorPunctured,
 from .tunneling import ConjugatePair, derived_fields, gap_function
 
 TWO_PI = 2.0 * np.pi
-ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -272,65 +271,50 @@ def graph_check_dDeltaZ(pair: ConjugatePair, xi_hat: BoundarySectionEF,
 # principal symbol and ellipticity
 
 
-def _symbol_blocks(a: float, af: complex, f_chi: float, f_jchi: float):
-    af_block = np.array([[af.real, -af.imag], [af.imag, af.real]])
-    ae_block = np.diag([1.0, -1.0])
-    a_full = np.block([[af_block, np.zeros((2, 2))],
-                       [np.zeros((2, 2)), ae_block]]).astype(complex)
-    f_c = np.zeros((4, 4), dtype=complex)
-    f_c[2:, :2] = np.array([[f_chi, f_jchi], [-f_jchi, f_chi]])
-    proj_f = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-    proj_e = np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)
-    return a_full, f_c, proj_f, proj_e
+_S = 1.0 / np.sqrt(2.0)
+# Orthonormal bases of the Calderon range per covector sign nu, as
+# (upper-half basis, lower-half basis) of C^4 vectors in the frame
+# coordinates (f1, f2, e_K, e_L).
+_RANGE_P = {
+    +1: ((np.array([1, -1j, 0, 0]) * _S, np.array([0, 0, 1, -1j]) * _S),
+         (np.array([1, 1j, 0, 0]) * _S, np.array([0, 0, 1, -1j]) * _S)),
+    -1: ((np.array([1, 1j, 0, 0]) * _S, np.array([0, 0, 1, 1j]) * _S),
+         (np.array([1, -1j, 0, 0]) * _S, np.array([0, 0, 1, 1j]) * _S)),
+}
 
 
-_J4_MINUS = np.block([[ROT, np.zeros((2, 2))],
-                      [np.zeros((2, 2)), -ROT]]).astype(complex)
-_PI_K = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)
+def _symbol_stack(a, af, f_chi, f_jchi, nu: int) -> np.ndarray:
+    """Boundary symbol at covector sign nu for every sample, shape (..., 4, 4).
+
+    b(w) = A^F(w^F) + A^E(w^E - f_C(w^F)) + c((1-a) w^E - f_C(w^F)) in the
+    frame (f1, f2, e_K, e_L), with A^E = diag(1, -1) and the correction
+    symbol c = -(1 - i nu J) pi_K A^E, J = diag(rot, -rot).  Multiplied out,
+    the f-terms cancel in the e_K row and survive only in the e_L row.
+    """
+    a = np.asarray(a, dtype=float)
+    af = np.asarray(af, dtype=complex)
+    f_chi = np.asarray(f_chi, dtype=float)
+    f_jchi = np.asarray(f_jchi, dtype=float)
+    one_minus_a = 1.0 - a
+    b = np.zeros(a.shape + (4, 4), dtype=complex)
+    b[..., 0, 0] = af.real
+    b[..., 0, 1] = -af.imag
+    b[..., 1, 0] = af.imag
+    b[..., 1, 1] = af.real
+    b[..., 2, 2] = 1.0 - one_minus_a
+    b[..., 3, 0] = -f_jchi + nu * 1j * f_chi
+    b[..., 3, 1] = f_chi + nu * 1j * f_jchi
+    b[..., 3, 2] = -nu * 1j * one_minus_a
+    b[..., 3, 3] = -1.0
+    b += 0.0    # exact zeros as +0, whatever the signs of zero inputs
+    return b
 
 
 def principal_symbol_B(a: float, af: complex, f_chi: float,
                        f_jchi: float) -> SymbolMatrix:
-    """Assemble the boundary symbol at one sample for both covector signs.
-
-    b(w) = A^F(w^F) + A^E(w^E - f_C(w^F)) + c((1-a) w^E - f_C(w^F)) with
-    c the symbol of the correction operator; the f-terms cancel on the
-    relevant subspace, which the assembled matrices exhibit numerically.
-    """
-    a_full, f_c, proj_f, proj_e = _symbol_blocks(a, af, f_chi, f_jchi)
-    out = []
-    for nu in (+1, -1):
-        c_nu = -(np.eye(4) - nu * 1j * _J4_MINUS) @ _PI_K @ a_full
-        b = a_full @ (np.eye(4) - f_c @ proj_f) \
-            + c_nu @ ((1.0 - a) * proj_e - f_c @ proj_f)
-        out.append(b)
-    return SymbolMatrix(out[0], out[1])
-
-
-def _range_p_basis(nu: int):
-    """Orthonormal bases of the Calderon range for covector sign nu.
-
-    Returns (upper-half basis, lower-half basis) as lists of C^4 vectors
-    in the frame coordinates (f1, f2, e_K, e_L).
-    """
-    s = 1.0 / np.sqrt(2.0)
-    if nu == +1:
-        upper = [np.array([1, -1j, 0, 0]) * s, np.array([0, 0, 1, -1j]) * s]
-        lower = [np.array([1, 1j, 0, 0]) * s, np.array([0, 0, 1, -1j]) * s]
-    else:
-        upper = [np.array([1, 1j, 0, 0]) * s, np.array([0, 0, 1, 1j]) * s]
-        lower = [np.array([1, -1j, 0, 0]) * s, np.array([0, 0, 1, 1j]) * s]
-    return upper, lower
-
-
-def _sample_sigma_min(sym: SymbolMatrix) -> float:
-    vals = []
-    for nu, b in ((+1, sym.b_plus), (-1, sym.b_minus)):
-        upper, lower = _range_p_basis(nu)
-        cols = [-b @ w for w in upper] + list(lower)
-        mat = np.stack(cols, axis=1)
-        vals.append(np.linalg.svd(mat, compute_uv=False)[-1])
-    return float(min(vals))
+    """The boundary symbol at one sample for both covector signs."""
+    return SymbolMatrix(_symbol_stack(a, af, f_chi, f_jchi, +1),
+                        _symbol_stack(a, af, f_chi, f_jchi, -1))
 
 
 @dataclass
@@ -348,12 +332,17 @@ def check_ellipticity(data: BOperatorData) -> EllipticityReport:
     both covector signs; the certificate passes when the global minimum
     stays above the configured floor.
     """
-    mins = np.empty(data.m)
-    for k in range(data.m):
-        sym = principal_symbol_B(float(data.a_samples[k]),
-                                 complex(data.af_samples[k]),
-                                 float(data.f_chi[k]), float(data.f_jchi[k]))
-        mins[k] = _sample_sigma_min(sym)
+    sv = []
+    for nu in (+1, -1):
+        neg_b = -_symbol_stack(data.a_samples, data.af_samples, data.f_chi,
+                               data.f_jchi, nu)
+        upper, lower = _RANGE_P[nu]
+        # one matrix-vector product per column rounds like a single -b @ w
+        cols = [neg_b @ w for w in upper] \
+            + [np.broadcast_to(w, neg_b.shape[:-1]) for w in lower]
+        sv.append(np.linalg.svd(np.stack(cols, axis=-1),
+                                compute_uv=False)[:, -1])
+    mins = np.minimum(sv[0], sv[1])
     arg = int(np.argmin(mins))
     smin = float(mins[arg])
     return EllipticityReport(smin, smin > CONFIG.tol.ellipticity_floor,

@@ -8,8 +8,8 @@ digits under the schema tag folded-maps/1.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
-import os
 import sys
 
 import numpy as np
@@ -69,9 +69,12 @@ def _write(text: str, path: str) -> None:
 
 def parse_complex(s: str) -> complex:
     try:
-        return complex(s.replace("i", "j").replace(" ", ""))
+        z = complex(s.replace("i", "j").replace(" ", ""))
     except ValueError as exc:
         raise InputError(f"cannot parse complex number {s!r}") from exc
+    if not cmath.isfinite(z):
+        raise InputError(f"complex number {s!r} is not finite")
+    return z
 
 
 def _validate_resolution(m: int) -> int:
@@ -244,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    os.environ.setdefault("FOLDED_MAPS_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:

@@ -8,6 +8,7 @@ recomputes every defining condition from the samples.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -22,9 +23,9 @@ from .harmonic import BoundaryLoopSamples, solve_f_degree_d
 from .sphere import (CharacteristicParam, FoldPoint, PolarMapGrid,
                      gauss_legendre_radial, grid_from_chart, hopf_project,
                      omega_energy, ProjectivePoint)
-from .tunneling import (ConjugatePair, check_conjugate, derived_fields,
-                        make_conjugate_pair, sample_tunnel_map,
-                        tunneling_omega_energy)
+from .tunneling import (ConjugacyReport, ConjugatePair, check_conjugate,
+                        derived_fields, make_conjugate_pair,
+                        sample_tunnel_map, tunneling_omega_energy)
 
 TWO_PI = 2.0 * np.pi
 
@@ -48,6 +49,9 @@ class ModuliParam:
     m: complex
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.c) and cmath.isfinite(self.m)):
+            raise DomainError(f"parameters must be finite, got c={self.c}, "
+                              f"m={self.m}")
         if abs(self.c) >= 1.0:
             raise DomainError(f"|c| must be < 1, got {abs(self.c)}")
         if abs(abs(self.m) - 1.0) > 1e-12:
@@ -133,7 +137,11 @@ class VerificationReport:
     tau_sign_violation: float
     boundary_match_plus: float
     boundary_match_minus: float
-    conjugacy_max: float
+    conjugacy: ConjugacyReport
+
+    @property
+    def conjugacy_max(self) -> float:
+        return self.conjugacy.max_residual()
 
     def max_residual(self) -> float:
         return max(self.holo_plus, self.holo_minus, self.tau_boundary,
@@ -278,11 +286,10 @@ def verify_folded_holomorphic(bundle: FoldedMapBundle) -> VerificationReport:
     match_m = float(np.max(np.abs(bundle.boundary_minus
                                   - bundle.pair.v_minus.boundary())))
 
-    conj = check_conjugate(bundle.pair)
     return VerificationReport(
         holo_plus=holo_p, holo_minus=holo_m, tau_boundary=tau_b,
         tau_sign_violation=tau_sign, boundary_match_plus=match_p,
-        boundary_match_minus=match_m, conjugacy_max=conj.max_residual())
+        boundary_match_minus=match_m, conjugacy=check_conjugate(bundle.pair))
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +349,10 @@ class CurveInput:
     def __post_init__(self):
         self.p_coeffs = np.trim_zeros(np.asarray(self.p_coeffs, complex), "b")
         self.q_coeffs = np.trim_zeros(np.asarray(self.q_coeffs, complex), "b")
+        if not (np.all(np.isfinite(self.p_coeffs))
+                and np.all(np.isfinite(self.q_coeffs))
+                and cmath.isfinite(self.m)):
+            raise InputError("curve coefficients and m must be finite")
         if self.degree < 1:
             raise InputError("curve must have degree at least 1")
         if abs(abs(self.m) - 1.0) > 1e-12:
@@ -540,7 +551,7 @@ def bundle_report(bundle: FoldedMapBundle,
                                     boundary_condition_loops)
     if report is None:
         report = verify_folded_holomorphic(bundle)
-    conj = check_conjugate(bundle.pair)
+    conj = report.conjugacy
     bop = boperator_data_from_bundle(bundle)
     data = {
         "a": list(map(float, bop.a_samples)),

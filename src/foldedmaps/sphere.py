@@ -370,24 +370,6 @@ def hopf_project(p: FoldPoint) -> ProjectivePoint:
     return ProjectivePoint.of(p.as_c2())
 
 
-def hopf_differential_fs(v: np.ndarray, dv: np.ndarray) -> complex:
-    """Fubini-Study-normalised derivative of the affine Hopf ratio.
-
-    For a curve v(t) in C^2 \\ 0 this is d(w/z) / (1 + |w/z|^2) rescaled to
-    the chart with the larger component, a scale-invariant measure of the
-    base velocity.
-    """
-    v = np.asarray(v, dtype=complex)
-    dv = np.asarray(dv, dtype=complex)
-    if abs(v[0]) >= abs(v[1]):
-        h = v[1] / v[0]
-        dh = (dv[1] * v[0] - v[1] * dv[0]) / v[0] ** 2
-    else:
-        h = v[0] / v[1]
-        dh = (dv[0] * v[1] - v[0] * dv[1]) / v[1] ** 2
-    return dh / (1.0 + abs(h) ** 2)
-
-
 # ---------------------------------------------------------------------------
 # energy quadrature
 

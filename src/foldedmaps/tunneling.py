@@ -9,6 +9,7 @@ by the asymptotic energy is (u, theta) / (2 pi).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -96,21 +97,37 @@ def sample_tunnel_map(fn: Callable[[np.ndarray], np.ndarray], rho: float,
 # derivatives on the ladder
 
 
-def _d_theta(rings: np.ndarray) -> np.ndarray:
-    return np.stack([
-        np.stack([sp.theta_derivative(rings[i, :, c]) for c in (0, 1)], axis=1)
-        for i in range(rings.shape[0])])
+def _d_theta(values: np.ndarray) -> np.ndarray:
+    """Spectral d/dtheta of ladder data (R, M, ...), one FFT along the angles."""
+    return np.moveaxis(sp.theta_derivative(np.moveaxis(values, 1, 0)), 0, 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _ladder_stencil(nodes: tuple[float, ...],
+                    width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fornberg d/du weights (R, width) and window starts (R,) of a ladder.
+
+    Built once per distinct ladder and shared process-wide; the arrays are
+    read-only, so concurrent callers can use them without copying.
+    """
+    u = np.asarray(nodes)
+    r = len(u)
+    starts = np.minimum(np.maximum(np.arange(r) - width // 2, 0), r - width)
+    weights = np.stack([sp.fd_weights(u[lo:lo + width], float(u[i]), 1)
+                        for i, lo in enumerate(starts)])
+    weights.setflags(write=False)
+    starts.setflags(write=False)
+    return weights, starts
 
 
 def _d_u(values: np.ndarray, u: np.ndarray, width: int = 9) -> np.ndarray:
     """d/du of ladder data (R, ...) with windowed high-order stencils."""
     r = values.shape[0]
     width = min(width, r)
+    weights, starts = _ladder_stencil(tuple(u.tolist()), width)
     out = np.empty_like(values, dtype=complex)
-    for i in range(r):
-        lo = min(max(i - width // 2, 0), r - width)
-        w = sp.fd_weights(u[lo:lo + width], float(u[i]), 1)
-        out[i] = np.tensordot(w, values[lo:lo + width], axes=(0, 0))
+    for i, lo in enumerate(starts):
+        out[i] = np.tensordot(weights[i], values[lo:lo + width], axes=(0, 0))
     return out
 
 
@@ -132,13 +149,15 @@ def derived_fields(v: TunnelMapSample) -> _Derived:
         return cached
     dth = _d_theta(v.rings)
     du = _d_u(v.rings, v.ring_u)
-    conj_rings = np.conj(v.rings)
-    alpha_t = np.imag(np.sum(conj_rings * dth, axis=2)) / TWO_PI
-    alpha_u = np.imag(np.sum(conj_rings * du, axis=2)) / TWO_PI
-    # contact frame (-conj w, conj z) pointwise
-    f_frame = np.stack([-conj_rings[:, :, 1], conj_rings[:, :, 0]], axis=2)
-    chi_t = np.sum(np.conj(f_frame) * dth, axis=2)
-    chi_u = np.sum(np.conj(f_frame) * du, axis=2)
+    a = v.rings[:, :, 0]
+    b = v.rings[:, :, 1]
+    ca, cb = np.conj(a), np.conj(b)
+    # two-term sums start from +0.0, as np.sum does, so exact zeros are +0
+    alpha_t = np.imag(0.0 + ca * dth[..., 0] + cb * dth[..., 1]) / TWO_PI
+    alpha_u = np.imag(0.0 + ca * du[..., 0] + cb * du[..., 1]) / TWO_PI
+    # F-coefficients against the contact frame (-conj w, conj z) pointwise
+    chi_t = 0.0 + (-b) * dth[..., 0] + a * dth[..., 1]
+    chi_u = 0.0 + (-b) * du[..., 0] + a * du[..., 1]
     out = _Derived(alpha_t, alpha_u, chi_t, chi_u, dth, du)
     v._derived = out
     return out
@@ -176,15 +195,14 @@ def residual_H(v: TunnelMapSample) -> HResidual:
     d = derived_fields(v)
     h = hopf_ratio(v)
     h_u = _d_u(h, v.ring_u)
-    h_t = np.stack([sp.theta_derivative(h[i]) for i in range(v.n_rings)])
+    h_t = _d_theta(h)
     dbar = 0.5 * (h_u + 1j * h_t)
     f_res = float(np.max(np.abs(dbar) / (1.0 + np.abs(h) ** 2)))
 
     # (v*alpha o j) has components (alpha_t, -alpha_u) on (d_u, d_theta)
     lam_u = d.alpha_t
     lam_t = -d.alpha_u
-    closed = _d_u(lam_t.astype(complex), v.ring_u).real \
-        - np.stack([sp.theta_derivative(lam_u[i]) for i in range(v.n_rings)])
+    closed = _d_u(lam_t.astype(complex), v.ring_u).real - _d_theta(lam_u)
     l_res = float(np.max(np.abs(closed)))
     return HResidual(f_res, l_res)
 
@@ -236,8 +254,7 @@ def asymptotic_energy(v: TunnelMapSample, delta: float,
     a_s = TWO_PI * d.alpha_u
     a_t = TWO_PI * d.alpha_t
     a_t_s = TWO_PI * _d_u(a_t.astype(complex), v.ring_u).real
-    a_t_t = TWO_PI * np.stack([sp.theta_derivative(a_t[i])
-                               for i in range(v.n_rings)])
+    a_t_t = TWO_PI * _d_theta(a_t)
     pf2 = (TWO_PI ** 2) * (np.abs(d.chi_u) ** 2 + np.abs(d.chi_t) ** 2)
     dens = np.abs(a_s) ** 2 + a_t_s ** 2 + a_t_t ** 2 + pf2
     ring_density = np.mean(dens, axis=1) * np.exp(delta * s)
@@ -358,9 +375,7 @@ def puncture_parameters(v: TunnelMapSample, n_dirs: int = 16) -> np.ndarray:
 def _omega_density(v: TunnelMapSample) -> np.ndarray:
     """Pullback of omega_Z = d(alpha) in the (u, theta) coordinates."""
     d = derived_fields(v)
-    return _d_u(d.alpha_t.astype(complex), v.ring_u).real \
-        - np.stack([sp.theta_derivative(d.alpha_u[i])
-                    for i in range(v.n_rings)])
+    return _d_u(d.alpha_t.astype(complex), v.ring_u).real - _d_theta(d.alpha_u)
 
 
 def check_conjugate(pair: ConjugatePair, n_dirs: int = 16) -> ConjugacyReport:
@@ -389,12 +404,8 @@ def check_conjugate(pair: ConjugatePair, n_dirs: int = 16) -> ConjugacyReport:
     tm = puncture_parameters(vm, n_dirs)
     marker = float(np.max(np.abs(np.exp(2j * np.pi * (tp + tm)) - 1.0)))
 
-    hp = vp.rings[:, :, 1] / vp.rings[:, :, 0] \
-        if np.max(np.abs(vp.rings[:, :, 0])) >= np.max(np.abs(vp.rings[:, :, 1])) \
-        else vp.rings[:, :, 0] / vp.rings[:, :, 1]
-    hm = vm.rings[:, :, 1] / vm.rings[:, :, 0] \
-        if np.max(np.abs(vm.rings[:, :, 0])) >= np.max(np.abs(vm.rings[:, :, 1])) \
-        else vm.rings[:, :, 0] / vm.rings[:, :, 1]
+    hp = hopf_ratio(vp)
+    hm = hopf_ratio(vm)
     base = float(np.max(np.abs(hp - hm) / (1.0 + np.abs(hp) ** 2)))
 
     cp = sp.coeffs(hp[-1])

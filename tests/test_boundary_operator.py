@@ -122,7 +122,7 @@ def test_graph_check_rejects_transverse_sections():
 
 def test_symbol_unit_data():
     sym = B.principal_symbol_B(1.0, 1.0, 0.0, 0.0)
-    up, _ = B._range_p_basis(+1)
+    up, _ = B._RANGE_P[+1]
     # unit entries on the projected subspace
     for w in up:
         assert abs(np.linalg.norm(sym.b_plus @ w) - 1.0) < 1e-12
@@ -131,7 +131,7 @@ def test_symbol_unit_data():
 def test_symbol_pure_transverse_input_scales_with_gap():
     for a in (0.5, 1.0, 3.3):
         sym = B.principal_symbol_B(a, np.exp(0.4j), 0.7, -0.2)
-        up, _ = B._range_p_basis(+1)
+        up, _ = B._RANGE_P[+1]
         assert abs(np.linalg.norm(sym.b_plus @ up[1]) - a) < 1e-12
 
 
@@ -141,9 +141,57 @@ def test_symbol_f_independence():
         other = B.principal_symbol_B(1.7, np.exp(0.3j), fc, fj)
         for nu, b0, b1 in ((+1, base.b_plus, other.b_plus),
                            (-1, base.b_minus, other.b_minus)):
-            up, _ = B._range_p_basis(nu)
+            up, _ = B._RANGE_P[nu]
             for w in up:
                 assert np.max(np.abs((b0 - b1) @ w)) < 1e-12
+
+
+def symbol_by_products(a, af, f_chi, f_jchi, nu):
+    """The boundary symbol multiplied out from its frame blocks."""
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    z2 = np.zeros((2, 2))
+    a_full = np.block([[np.array([[af.real, -af.imag], [af.imag, af.real]]), z2],
+                       [z2, np.diag([1.0, -1.0])]]).astype(complex)
+    f_c = np.zeros((4, 4), dtype=complex)
+    f_c[2:, :2] = np.array([[f_chi, f_jchi], [-f_jchi, f_chi]])
+    proj_f = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    proj_e = np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)
+    j4 = np.block([[rot, z2], [z2, -rot]]).astype(complex)
+    pi_k = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)
+    c_nu = -(np.eye(4) - nu * 1j * j4) @ pi_k @ a_full
+    return a_full @ (np.eye(4) - f_c @ proj_f) \
+        + c_nu @ ((1.0 - a) * proj_e - f_c @ proj_f)
+
+
+def test_symbol_closed_form_matches_block_products():
+    for _ in range(50):
+        a, f_chi, f_jchi = RNG.uniform(0.05, 4.0), RNG.normal(), RNG.normal()
+        af = complex(RNG.uniform(0.3, 3.0) * np.exp(1j * RNG.uniform(0, 7)))
+        sym = B.principal_symbol_B(a, af, f_chi, f_jchi)
+        for nu, b in ((+1, sym.b_plus), (-1, sym.b_minus)):
+            ref = symbol_by_products(a, af, f_chi, f_jchi, nu)
+            assert b.tobytes() == ref.tobytes()
+
+
+def test_ellipticity_matches_per_sample_symbol():
+    m = 64
+    data = B.BOperatorData(
+        1.0, RNG.uniform(0.05, 4.0, m),
+        RNG.uniform(0.3, 3.0, m) * np.exp(1j * RNG.uniform(0, 2 * np.pi, m)),
+        RNG.normal(0.0, 3.0, m), RNG.normal(0.0, 3.0, m))
+    expected = np.empty(m)
+    for k in range(m):
+        sym = B.principal_symbol_B(data.a_samples[k], data.af_samples[k],
+                                   data.f_chi[k], data.f_jchi[k])
+        vals = []
+        for nu, b in ((+1, sym.b_plus), (-1, sym.b_minus)):
+            up, low = B._RANGE_P[nu]
+            mat = np.stack([-b @ w for w in up] + list(low), axis=1)
+            vals.append(np.linalg.svd(mat, compute_uv=False)[-1])
+        expected[k] = min(vals)
+    rep = B.check_ellipticity(data)
+    assert rep.per_sample.tobytes() == expected.tobytes()
+    assert rep.sigma_min == expected.min()
 
 
 def test_ellipticity_trivial_frames():

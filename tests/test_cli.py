@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +24,9 @@ def test_parse_complex_accepts_i_and_j():
     assert cli.parse_complex("1") == 1.0
     with pytest.raises(InputError):
         cli.parse_complex("zzz")
+    for bad in ("nan", "inf", "1+nani"):
+        with pytest.raises(InputError):
+            cli.parse_complex(bad)
 
 
 def test_resolution_validation():
@@ -178,3 +184,32 @@ def test_certificate_detects_zeroed_gap(tmp_path):
 def test_certificate_missing_file(tmp_path):
     assert run(["certificate", "--bundle", str(tmp_path / "nope.json"),
                 "--out", "-"]) == cli.EXIT_INPUT
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+
+
+def run_subprocess(argv, cwd):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "foldedmaps.cli"] + argv,
+                          cwd=cwd, env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("case", ["degree1", "degree-d"])
+def test_nan_input_is_an_input_error(tmp_path, case):
+    if case == "degree1":
+        argv = ["degree1", "--c", "nan", "--resolution", "64"]
+    else:
+        curve = tmp_path / "curve.json"
+        curve.write_text('{"p": [[0.0, 0.0], [NaN, 0.0]], "q": [[0.5, 0.0]], '
+                         '"m": [1.0, 0.0]}')
+        argv = ["degree-d", "--curve", str(curve), "--resolution", "64"]
+    proc = run_subprocess(argv + ["--out", str(tmp_path / "r.json")],
+                          tmp_path)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error:")

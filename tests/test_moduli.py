@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from foldedmaps import moduli as Mo
 from foldedmaps import sphere as S
+from foldedmaps import tunneling as T
 from foldedmaps.errors import (DomainError, InputError,
                                NonImmersedBoundaryError, TierViolationError)
 
@@ -36,6 +39,10 @@ def test_param_validation():
         Mo.ModuliParam(1.2, 1.0)
     with pytest.raises(DomainError):
         Mo.ModuliParam(0.3, 2.0)
+    with pytest.raises(DomainError):
+        Mo.ModuliParam(complex(np.nan, 0.0), 1.0)
+    with pytest.raises(DomainError):
+        Mo.ModuliParam(0.3, complex(1.0, np.inf))
     with pytest.raises(DomainError):
         Mo.degree1_family(Mo.ModuliParam(0.995, 1.0), M_RES, NR)
 
@@ -182,6 +189,10 @@ def test_curve_input_validation():
         Mo.CurveInput(np.array([1.0]), np.array([]), 1.0)  # degree 0
     with pytest.raises(InputError):
         Mo.CurveInput(np.array([0, 1.0]), np.array([]), 2.0)  # |m| != 1
+    with pytest.raises(InputError):
+        Mo.CurveInput(np.array([0, np.nan]), np.array([0.5]), 1.0)
+    with pytest.raises(InputError):
+        Mo.CurveInput(np.array([0, 1.0]), np.array([0.5]), complex(np.nan))
 
 
 def test_curve_json_roundtrip():
@@ -268,3 +279,13 @@ def test_bundle_report_schema():
     assert rep["residuals"]["max_residual"] < 1e-8
     assert rep["boundary_operator"] is not None
     assert len(rep["boundary_operator"]["a"]) == M_RES
+
+
+def test_bundle_report_reuses_verification_conjugacy():
+    bundle = small_family(0.4, 1.0)
+    conj = T.check_conjugate(bundle.pair)
+    report = Mo.verify_folded_holomorphic(bundle)
+    assert report.conjugacy == conj
+    assert report.conjugacy_max == conj.max_residual()
+    assert Mo.bundle_report(bundle, report)["conjugacy"] == \
+        dataclasses.asdict(conj)

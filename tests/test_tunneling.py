@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,86 @@ def family_samples(c, m, M=M):
     vp = T.sample_tunnel_map(vplus, r0, M, x, 1)
     vm = T.sample_tunnel_map(vminus, r0, M, x, -1)
     return vp, vm, x
+
+
+# ---------------------------------------------------------------------------
+# ladder derivatives
+
+
+def d_u_direct(values, u, width=9):
+    """Per-ring Fornberg weights, evaluated afresh for every ring."""
+    r = len(u)
+    out = np.empty_like(values, dtype=complex)
+    for i in range(r):
+        lo = min(max(i - width // 2, 0), r - width)
+        w = sp.fd_weights(u[lo:lo + width], float(u[i]), 1)
+        out[i] = np.tensordot(w, values[lo:lo + width], axes=(0, 0))
+    return out
+
+
+def ladder_values(n_rings):
+    shape = (n_rings, 16, 2)
+    return RNG.normal(size=shape) + 1j * RNG.normal(size=shape)
+
+
+@pytest.mark.parametrize("u", [T.default_ring_u(),
+                               np.cumsum(np.linspace(0.01, 0.08, 60))],
+                         ids=["default", "nonuniform"])
+def test_d_u_cached_stencil_matches_direct(u):
+    vals = ladder_values(len(u))
+    assert T._d_u(vals, u).tobytes() == d_u_direct(vals, u).tobytes()
+    weights, starts = T._ladder_stencil(tuple(u.tolist()), 9)
+    assert not weights.flags.writeable and not starts.flags.writeable
+
+
+def test_d_theta_matches_per_ring():
+    vals = ladder_values(7)
+    expected = np.stack([
+        np.stack([sp.theta_derivative(vals[i, :, c]) for c in (0, 1)], axis=1)
+        for i in range(7)])
+    assert np.ascontiguousarray(T._d_theta(vals)).tobytes() == expected.tobytes()
+    real = vals[..., 0].real
+    expected = np.stack([sp.theta_derivative(real[i]) for i in range(7)])
+    assert np.ascontiguousarray(T._d_theta(real)).tobytes() == expected.tobytes()
+
+
+def test_d_u_stencil_is_per_ladder():
+    u1 = T.default_ring_u()
+    u2 = 1.5 * u1
+    vals = ladder_values(len(u1))
+    d1 = T._d_u(vals, u1)
+    d2 = T._d_u(vals, u2)
+    assert d2.tobytes() == d_u_direct(vals, u2).tobytes()
+    assert not np.allclose(d1, d2)
+    assert T._ladder_stencil(tuple(u1.tolist()), 9)[0] \
+        is not T._ladder_stencil(tuple(u2.tolist()), 9)[0]
+
+
+def test_d_u_stencil_cache_under_threads():
+    ladders = [np.cumsum(np.full(40, 0.01 * (k + 1))) for k in range(6)]
+    vals = ladder_values(40)
+    expected = [d_u_direct(vals, u) for u in ladders]
+    failures = []
+
+    def worker(k):
+        for j in range(20):
+            n = (k + j) % len(ladders)
+            if T._d_u(vals, ladders[n]).tobytes() != expected[n].tobytes():
+                failures.append((k, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        T._ladder_stencil.cache_clear()
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
 
 
 # ---------------------------------------------------------------------------
