@@ -16,7 +16,7 @@ import numpy as np
 
 from . import boundary_operator as bop
 from . import moduli
-from .config import load_config
+from .config import CONFIG, load_config
 from .errors import (DomainError, FoldedMapError, InputError,
                      NonImmersedBoundaryError, TierViolationError)
 
@@ -88,17 +88,13 @@ def _validate_resolution(m: int) -> int:
 # commands
 
 
-def _certificate_of(bundle) -> dict:
-    data = bop.boperator_data_from_bundle(bundle)
-    loops = bop.boundary_condition_loops(bundle)
-    return bop.ellipticity_certificate(data, loops)
-
-
 def _full_report(bundle, kind: str) -> tuple[dict, bool]:
     report = moduli.verify_folded_holomorphic(bundle)
-    out = moduli.bundle_report(bundle, report)
+    data = bop.boperator_data_from_bundle(bundle)
+    loops = bop.boundary_condition_loops(bundle)
+    out = moduli.bundle_report(bundle, report, data, loops)
     out["kind"] = kind
-    cert = _certificate_of(bundle)
+    cert = bop.ellipticity_certificate(data, loops)
     out["certificate"] = cert
     out["gap_profile"] = out["boundary_operator"]["a"] \
         if out["boundary_operator"] else []
@@ -249,13 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        try:
-            load_config(args.config)
-        except (OSError, ValueError, TypeError) as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+    saved = (CONFIG.tol, CONFIG.grid)
     try:
+        if args.config:
+            try:
+                load_config(args.config)
+            except (OSError, ValueError, TypeError) as exc:
+                print(f"input error: {exc}", file=sys.stderr)
+                return EXIT_INPUT
         return args.func(args)
     except TierViolationError as exc:
         print(f"tier violation: {exc}", file=sys.stderr)
@@ -266,6 +263,8 @@ def main(argv=None) -> int:
     except FoldedMapError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    finally:
+        CONFIG.tol, CONFIG.grid = saved
 
 
 if __name__ == "__main__":

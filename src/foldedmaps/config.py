@@ -44,11 +44,6 @@ class Tolerances:
 class GridDefaults:
     boundary_samples: int = 512          # M, power of two
     radial_nodes: int = 128              # interior tensor grid, radius
-    stencil_rings: int = 9               # rings used for radial derivatives
-    stencil_spacing: float = 0.004       # cylinder-coordinate spacing of those rings
-    outer_ring_s: tuple[float, ...] = (0.5, 0.75, 1.0, 1.25)
-    energy_s_max: float = 1.5            # cylinder truncation for asymptotic energy
-    energy_s_nodes: int = 64
 
 
 @dataclass
@@ -67,10 +62,7 @@ def load_config(path: str) -> None:
     if "tol" in data:
         CONFIG.tol = replace(CONFIG.tol, **data["tol"])
     if "grid" in data:
-        grid = dict(data["grid"])
-        if "outer_ring_s" in grid:
-            grid["outer_ring_s"] = tuple(grid["outer_ring_s"])
-        CONFIG.grid = replace(CONFIG.grid, **grid)
+        CONFIG.grid = replace(CONFIG.grid, **data["grid"])
 
 
 @contextlib.contextmanager

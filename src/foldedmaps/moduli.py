@@ -413,8 +413,12 @@ def find_circular_fold(curve: CurveInput, m_probe: int = 512) -> float:
             raise TierViolationError("no fold circle: |w| never reaches 1")
     if mean_mod(lo) > 0:
         raise TierViolationError("no fold circle: |w| exceeds 1 everywhere")
+    # mean_mod(lo) < 0 <= mean_mod(hi) throughout, so once the midpoint
+    # rounds onto lo or hi neither end can move again
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if mean_mod(mid) < 0:
             lo = mid
         else:
@@ -545,24 +549,33 @@ def construct_degree_d(curve: CurveInput, m: Optional[complex] = None,
 
 
 def bundle_report(bundle: FoldedMapBundle,
-                  report: Optional[VerificationReport] = None) -> dict:
-    """Machine-readable summary with residuals, energies and frame data."""
+                  report: Optional[VerificationReport] = None,
+                  op_data=None, loops=None) -> dict:
+    """Machine-readable summary with residuals, energies and frame data.
+
+    The verification report, the boundary-operator data and the
+    boundary-condition loops are computed here unless the caller passes
+    them in.
+    """
     from .boundary_operator import (boperator_data_from_bundle,
                                     boundary_condition_loops)
     if report is None:
         report = verify_folded_holomorphic(bundle)
+    if op_data is None:
+        op_data = boperator_data_from_bundle(bundle)
+    if loops is None:
+        loops = boundary_condition_loops(bundle)
     conj = report.conjugacy
-    bop = boperator_data_from_bundle(bundle)
     data = {
-        "a": list(map(float, bop.a_samples)),
-        "AF_re": list(map(float, bop.af_samples.real)),
-        "AF_im": list(map(float, bop.af_samples.imag)),
-        "f_chi": list(map(float, bop.f_chi)),
-        "f_jchi": list(map(float, bop.f_jchi)),
-        "sigma_radius": float(bop.sigma_radius),
+        "a": list(map(float, op_data.a_samples)),
+        "AF_re": list(map(float, op_data.af_samples.real)),
+        "AF_im": list(map(float, op_data.af_samples.imag)),
+        "f_chi": list(map(float, op_data.f_chi)),
+        "f_jchi": list(map(float, op_data.f_jchi)),
+        "sigma_radius": float(op_data.sigma_radius),
     }
-    lp, lm = boundary_condition_loops(bundle)
-    loops = {
+    lp, lm = loops
+    loop_data = {
         "plus_re": list(map(float, lp.frames[:, 0, 0].real)),
         "plus_im": list(map(float, lp.frames[:, 0, 0].imag)),
         "minus_re": list(map(float, lm.frames[:, 0, 0].real)),
@@ -585,5 +598,5 @@ def bundle_report(bundle: FoldedMapBundle,
         },
         "energies": dict(bundle.energies),
         "boundary_operator": data,
-        "loops": loops,
+        "loops": loop_data,
     }

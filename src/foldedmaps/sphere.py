@@ -382,16 +382,13 @@ def gauss_legendre_radial(nr: int, r_max: float = 1.0) -> tuple[np.ndarray, np.n
 
 
 def _barycentric_diff_matrix(x: np.ndarray) -> np.ndarray:
-    n = len(x)
+    """Barycentric differentiation matrix on the nodes x (Berrut-Trefethen)."""
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, 1.0)
     wb = 1.0 / np.prod(diff, axis=1)
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                d[i, j] = wb[j] / (wb[i] * (x[i] - x[j]))
-        d[i, i] = -np.sum(d[i, :])
+    d = wb[None, :] / (wb[:, None] * diff)
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -np.sum(d, axis=1))
     return d
 
 
@@ -443,8 +440,11 @@ def omega_energy(grid: PolarMapGrid) -> float:
     if grid.dvalues_dr is not None:
         dr = grid.dvalues_dr
     else:
+        # one real matmul over the interleaved (re, im) columns
         d = _barycentric_diff_matrix(grid.radii)
-        dr = np.einsum("ij,jkl->ikl", d, y)
+        flat = np.ascontiguousarray(y, dtype=complex)
+        flat = flat.reshape(len(y), -1).view(float)
+        dr = (d @ flat).view(complex).reshape(y.shape)
     density = np.imag(np.sum(np.conj(dr) * dtheta, axis=2)) / np.pi
     ring_integrals = np.sum(density, axis=1) * (2.0 * np.pi / m)
     return float(np.dot(grid.weights, ring_integrals))

@@ -453,11 +453,13 @@ def conjugate_partner(v_plus: TunnelMapSample,
     radii = v_plus.radii()
     winding = -2 * v_plus.degree
 
-    rings = np.empty_like(v_plus.rings)
-    for i, r in enumerate(radii):
-        g_single = np.real(g0.trace(r)) if g0 is not None else 0.0
-        g_tot = winding * th / TWO_PI + g_single + const
-        rings[i] = np.exp(2j * np.pi * g_tot)[:, None] * v_plus.rings[i]
+    if g0 is None:
+        g_single = 0.0
+    else:
+        g_single = np.stack([np.real(g0.trace(r)) for r in radii])
+    g_tot = winding * th / TWO_PI + g_single + const
+    # g_tot is (M,) untwisted or (R, M) twisted; either broadcasts over rings
+    rings = np.exp(2j * np.pi * g_tot)[..., None] * v_plus.rings
     return TunnelMapSample(v_plus.rho, v_plus.ring_u, rings, x,
                            -v_plus.degree)
 

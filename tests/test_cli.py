@@ -213,3 +213,31 @@ def test_nan_input_is_an_input_error(tmp_path, case):
     assert proc.returncode == cli.EXIT_INPUT
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("input error:")
+
+
+# ---------------------------------------------------------------------------
+# --config
+
+
+def test_config_does_not_leak_into_later_calls(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tol": {"ellipticity_floor": 1e9}}')
+    argv = ["degree1", "--c", "0.3", "--resolution", "64",
+            "--out", str(tmp_path / "r.json")]
+    assert run(["--config", str(cfg)] + argv) == cli.EXIT_VERIFY
+    assert run(argv) == cli.EXIT_PASS
+
+
+@pytest.mark.parametrize("field", ["stencil_rings", "stencil_spacing",
+                                   "outer_ring_s", "energy_s_max",
+                                   "energy_s_nodes"])
+def test_config_rejects_unknown_grid_field(tmp_path, capsys, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": {"ellipticity_floor": 1e9},
+                               "grid": {field: 1}}))
+    argv = ["degree1", "--c", "0.3", "--resolution", "64",
+            "--out", str(tmp_path / "r.json")]
+    assert run(["--config", str(cfg)] + argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error:")
+    # the tolerance applied before the bad grid field is rolled back too
+    assert run(argv) == cli.EXIT_PASS

@@ -258,6 +258,34 @@ def test_degree2_partner_agrees_with_curve_route():
     assert np.max(np.abs(built.rings - b.pair.v_minus.rings)) < 1e-9
 
 
+def _reference_fold_radius(curve, m_probe=512):
+    # the full 200-step bisection the early stop must reproduce exactly
+    th = 2 * np.pi * np.arange(m_probe) / m_probe
+
+    def mean_mod(rho):
+        return float(np.mean(np.linalg.norm(
+            curve.eval(rho * np.exp(1j * th)), axis=-1))) - 1.0
+
+    lo, hi = 1e-6, 1.0
+    while mean_mod(hi) < 0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mean_mod(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_find_circular_fold_matches_full_bisection(d):
+    m = np.exp(0.3j * d)
+    for r0, c in [(1.0, 0.3), (0.7, 0.5j), (2.5, 0.0)]:
+        curve = Mo.CurveInput(np.r_[np.zeros(d), r0 * m], np.array([m * c]), m)
+        assert Mo.find_circular_fold(curve) == _reference_fold_radius(curve)
+
+
 def test_noncircular_fold_tier_violation():
     with pytest.raises(TierViolationError):
         Mo.construct_degree_d(

@@ -317,6 +317,55 @@ def test_energy_equator_disk():
     assert abs(S.omega_energy(g) - 1.0) < 1e-12
 
 
+def _reference_diff_matrix(x):
+    # the textbook double loop the vectorized matrix must reproduce bitwise
+    n = len(x)
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    wb = 1.0 / np.prod(diff, axis=1)
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                d[i, j] = wb[j] / (wb[i] * (x[i] - x[j]))
+        d[i, i] = -np.sum(d[i, :])
+    return d
+
+
+@pytest.mark.parametrize("scale", [0.999, 1.0 / 0.999])
+def test_barycentric_diff_matrix_matches_loop(scale):
+    r, _ = S.gauss_legendre_radial(128)
+    x = scale * r
+    assert np.array_equal(S._barycentric_diff_matrix(x),
+                          _reference_diff_matrix(x))
+
+
+def test_barycentric_diff_matrix_differentiates_polynomials():
+    n = 24
+    x, _ = S.gauss_legendre_radial(n)
+    d = S._barycentric_diff_matrix(x)
+    for k in range(n):
+        assert np.max(np.abs(d @ x ** k - k * x ** max(k - 1, 0))) < 1e-10
+
+
+@pytest.mark.parametrize("c, m", [(0.0, 1.0), (0.5 + 0.2j, np.exp(0.7j)),
+                                  (0.85j, np.exp(-1.1j))])
+def test_omega_energy_barycentric_matches_exact_derivative(c, m):
+    from foldedmaps import moduli as Mo
+    for chart in Mo._family_charts(c, m, 128, 128)[:2]:
+        exact = chart.to_equator_grid()
+        assert exact.dvalues_dr is not None
+        grid = S.PolarMapGrid(exact.radii, exact.weights, exact.values)
+        energy = S.omega_energy(grid)
+        assert abs(energy - S.omega_energy(exact)) < 1e-12
+        # the einsum the matmul replaced, up to its summation order
+        d = _reference_diff_matrix(grid.radii)
+        ref = S.omega_energy(S.PolarMapGrid(
+            grid.radii, grid.weights, grid.values,
+            np.einsum("ij,jkl->ikl", d, grid.values)))
+        assert abs(energy - ref) <= 16 * np.finfo(float).eps * abs(ref)
+
+
 def test_energy_degenerate_grid_error():
     with pytest.raises(DomainError):
         S.PolarMapGrid(np.array([0.5]), np.array([1.0]),

@@ -8,7 +8,8 @@ from foldedmaps import _spectral as sp
 from foldedmaps import tunneling as T
 from foldedmaps.errors import (DomainError, GapSignError,
                                NonTransverseCrossingError)
-from foldedmaps.harmonic import BoundaryLoopSamples
+from foldedmaps.harmonic import (BoundaryLoopSamples, ExteriorPunctured,
+                                 solve_neumann_vanishing)
 from foldedmaps.sphere import CharacteristicParam
 
 RNG = np.random.default_rng(90125)
@@ -338,12 +339,7 @@ def test_conjugate_partner_matches_closed_form():
         assert rep.max_residual() < 1e-7
 
 
-def test_conjugate_partner_twisted_family():
-    # flow-twisting by a decaying harmonic function preserves the
-    # tunneling equations and sends the partner to the oppositely
-    # twisted closed form; this drives the Neumann solve with honestly
-    # nonzero boundary data
-    c, m, beta = 0.45, np.exp(0.5j), 0.07
+def _twisted_family_sample(c, m, beta):
     r0 = np.sqrt(1 - c ** 2)
     x = CharacteristicParam(m)
     vplus, vminus = family_maps(c, m)
@@ -358,13 +354,51 @@ def test_conjugate_partner_twisted_family():
         return np.exp(-2j * np.pi * h(z))[..., None] * vminus(z)
 
     vp = T.sample_tunnel_map(twisted_plus, r0, M, x, 1)
+    vm = T.sample_tunnel_map(twisted_minus, r0, M, x, -1)
+    return vp, vm, x
+
+
+def test_conjugate_partner_twisted_family():
+    # flow-twisting by a decaying harmonic function preserves the
+    # tunneling equations and sends the partner to the oppositely
+    # twisted closed form; this drives the Neumann solve with honestly
+    # nonzero boundary data
+    vp, vm_expected, x = _twisted_family_sample(0.45, np.exp(0.5j), 0.07)
     res = T.residual_H(vp)
     assert max(res.f_residual, res.l_residual) < 1e-7
-    vm_expected = T.sample_tunnel_map(twisted_minus, r0, M, x, -1)
     built = T.conjugate_partner(vp, x)
     assert np.max(np.abs(built.rings - vm_expected.rings)) < 1e-7
     rep = T.check_conjugate(T.make_conjugate_pair(vp, built, x))
     assert rep.max_residual() < 1e-7
+
+
+def _reference_partner_rings(v_plus, g0):
+    # per-ring transition phases, as the broadcast must reproduce bitwise
+    t_plus = float(T.puncture_parameters(v_plus, n_dirs=1)[0])
+    const = -2.0 * t_plus
+    th = sp.angles(v_plus.m)
+    winding = -2 * v_plus.degree
+    rings = np.empty_like(v_plus.rings)
+    for i, r in enumerate(v_plus.radii()):
+        g_single = np.real(g0.trace(r)) if g0 is not None else 0.0
+        g_tot = winding * th / T.TWO_PI + g_single + const
+        rings[i] = np.exp(2j * np.pi * g_tot)[:, None] * v_plus.rings[i]
+    return rings
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_conjugate_partner_matches_per_ring_loop(twisted):
+    if twisted:
+        vp, _, x = _twisted_family_sample(0.45, np.exp(0.5j), 0.07)
+    else:
+        vp, _, x = family_samples(0.5 + 0.2j, np.exp(0.7j))
+    data = 2.0 * T.derived_fields(vp).alpha_u[0]
+    data = data - np.mean(data)
+    g0 = solve_neumann_vanishing(BoundaryLoopSamples(data, vp.rho),
+                                   ExteriorPunctured(vp.rho)) \
+        if twisted else None
+    built = T.conjugate_partner(vp, x)
+    assert np.array_equal(built.rings, _reference_partner_rings(vp, g0))
 
 
 def test_conjugate_partner_involutive():
