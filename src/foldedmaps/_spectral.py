@@ -139,10 +139,3 @@ def fd_weights(nodes: np.ndarray, x0: float, order: int) -> np.ndarray:
         c1 = c2
     return c[:, order]
 
-
-def ladder_derivative(ring_values: np.ndarray, s_nodes: np.ndarray,
-                      at: int = 0) -> np.ndarray:
-    """d/ds of ring data (rings, M, ...) at ring index `at` via FD weights."""
-    w = fd_weights(np.asarray(s_nodes), float(s_nodes[at]), 1)
-    shape = (len(s_nodes),) + (1,) * (ring_values.ndim - 1)
-    return np.sum(ring_values * w.reshape(shape), axis=0)

@@ -96,6 +96,14 @@ class TotallyRealLoop:
         if self.frames.ndim != 3 or self.frames.shape[1:] != (2, 2):
             raise DomainError("frames must have shape (M, 2, 2)")
 
+    @classmethod
+    def from_directions(cls, dirs: np.ndarray) -> "TotallyRealLoop":
+        """Planes spanned by the F-direction `dirs` (M,) and the K axis."""
+        frames = np.zeros((len(dirs), 2, 2), dtype=complex)
+        frames[:, 0, 0] = dirs          # F-direction coefficient slot
+        frames[:, 1, 1] = 1.0           # K slot
+        return cls(frames)
+
     def dets(self) -> np.ndarray:
         return np.linalg.det(self.frames)
 
@@ -222,8 +230,8 @@ def build_B(data: BOperatorData) -> BHandle:
 # graph consistency of the two constructions
 
 
-def graph_check_dDeltaZ(pair: ConjugatePair, xi_hat: BoundarySectionEF,
-                        data: Optional[BOperatorData] = None) -> float:
+def graph_check_dDeltaZ(xi_hat: BoundarySectionEF,
+                        data: BOperatorData) -> float:
     """Compare the transmission image with the deformation recipe.
 
     The recipe determines the lower trace through the Neumann problem for
@@ -234,22 +242,12 @@ def graph_check_dDeltaZ(pair: ConjugatePair, xi_hat: BoundarySectionEF,
     """
     if np.max(np.abs(xi_hat.xi_k)) > 1e-13 * max(1.0, xi_hat.max_abs()):
         raise DomainError("deformation sections must be tangent to the fold")
-    if data is None:
-        rho = pair.v_plus.rho
-        a = gap_function(
-            BoundaryLoopSamples(derived_fields(pair.v_plus).alpha_t[0], rho),
-            BoundaryLoopSamples(derived_fields(pair.v_minus).alpha_t[0], rho)).values
-        f_a, f_b, w_theta = _f_values_from_pair(pair)
-        data = BOperatorData(rho, a, derived_fields(pair.v_minus).chi_t[0] / w_theta,
-                             f_a, f_b)
     handle = BHandle(data)
     via_b = handle.apply(xi_hat)
 
     # constructive recipe: g from the Neumann problem, then the trace formula
-    x, y = xi_hat.xi_f.real, xi_hat.xi_f.imag
-    f_chi = x * data.f_chi + y * data.f_jchi
-    f_jchi = -y * data.f_chi + x * data.f_jchi
-    neumann = sp.band_limit(sp.theta_derivative(f_chi))
+    f_k, f_l = handle._f_complexified(xi_hat.xi_f)
+    neumann = sp.band_limit(sp.theta_derivative(f_k))
     if np.max(np.abs(neumann)) < 1e-12 * max(1.0, xi_hat.max_abs()):
         g_trace = np.zeros(xi_hat.m)
     else:
@@ -260,7 +258,7 @@ def graph_check_dDeltaZ(pair: ConjugatePair, xi_hat: BoundarySectionEF,
     recipe = BoundarySectionEF(
         data.af_samples * xi_hat.xi_f,
         np.zeros(xi_hat.m),
-        -(f_jchi + xi_hat.xi_l + g_trace))
+        f_l - xi_hat.xi_l - g_trace)
 
     return float(max(np.max(np.abs(via_b.xi_f - recipe.xi_f)),
                      np.max(np.abs(via_b.xi_k - recipe.xi_k)),
@@ -394,8 +392,7 @@ def boundary_condition_loops(bundle) -> tuple[TotallyRealLoop, TotallyRealLoop]:
     label.
     """
     pair = bundle.pair
-    m_res = bundle.m_res
-    th = sp.angles(m_res)
+    th = sp.angles(bundle.m_res)
     dp = derived_fields(pair.v_plus)
     dm = derived_fields(pair.v_minus)
 
@@ -408,14 +405,8 @@ def boundary_condition_loops(bundle) -> tuple[TotallyRealLoop, TotallyRealLoop]:
         af_phase = dm.chi_t[0] / chi_p
         af_phase = af_phase / np.abs(af_phase)
         dir_m = np.conj(af_phase) * dm.chi_t[0] / np.abs(dm.chi_t[0])
-
-    def loop_from(dirs):
-        frames = np.zeros((m_res, 2, 2), dtype=complex)
-        frames[:, 0, 0] = dirs          # F-direction coefficient slot
-        frames[:, 1, 1] = 1.0           # K slot
-        return TotallyRealLoop(frames)
-
-    return loop_from(dir_p), loop_from(dir_m)
+    return (TotallyRealLoop.from_directions(dir_p),
+            TotallyRealLoop.from_directions(dir_m))
 
 
 # ---------------------------------------------------------------------------
@@ -440,3 +431,69 @@ def ellipticity_certificate(data: BOperatorData,
         "pass": bool(rep.passed),
         "argminSample": rep.argmin_sample,
     }
+
+
+# ---------------------------------------------------------------------------
+# report sections
+
+
+_OPERATOR_KEYS = ("a", "AF_re", "AF_im", "f_chi", "f_jchi")
+_LOOP_KEYS = ("plus_re", "plus_im", "minus_re", "minus_im")
+
+
+def report_sections(data: BOperatorData,
+                    loops: tuple[TotallyRealLoop, TotallyRealLoop]
+                    ) -> tuple[dict, dict]:
+    """The `boundary_operator` and `loops` sections of a bundle report."""
+    lp, lm = (loop.frames[:, 0, 0] for loop in loops)
+    columns = (data.a_samples, data.af_samples.real, data.af_samples.imag,
+               data.f_chi, data.f_jchi)
+    operator = {k: list(map(float, c))
+                for k, c in zip(_OPERATOR_KEYS, columns)}
+    operator["sigma_radius"] = float(data.sigma_radius)
+    loop_data = {k: list(map(float, c)) for k, c in
+                 zip(_LOOP_KEYS, (lp.real, lp.imag, lm.real, lm.imag))}
+    return operator, loop_data
+
+
+def certificate_from_report(report: dict) -> dict:
+    """Certificate of the operator data and loops stored in a bundle report.
+
+    The gap samples are floored at 1e-300 to build the operator data, so a
+    tampered report with a vanishing or negative gap still gets a
+    certificate; `aMin` is the unfloored minimum and `pass` also requires
+    it to be positive.  Raises DomainError when a section is missing or
+    its arrays are not finite, non-empty and of one length.
+    """
+    try:
+        operator, loop_data = report["boundary_operator"], report["loops"]
+        arrays = {k: np.asarray(operator[k], dtype=float)
+                  for k in _OPERATOR_KEYS}
+        arrays.update({k: np.asarray(loop_data[k], dtype=float)
+                       for k in _LOOP_KEYS})
+        rho = float(operator["sigma_radius"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(
+            f"missing or malformed report section: {exc!r}") from exc
+    n = arrays["a"].shape
+    for name, arr in arrays.items():
+        if arr.ndim != 1 or arr.shape != n or arr.size == 0 \
+                or not np.all(np.isfinite(arr)):
+            raise DomainError(
+                f"report array {name!r} is not a non-empty list of finite "
+                f"numbers of the length of 'a'")
+    if not np.isfinite(rho):
+        raise DomainError("report sigma_radius must be finite")
+
+    a = arrays["a"]
+    data = BOperatorData(rho, np.maximum(a, 1e-300),
+                         arrays["AF_re"] + 1j * arrays["AF_im"],
+                         arrays["f_chi"], arrays["f_jchi"])
+    loops = tuple(TotallyRealLoop.from_directions(
+        arrays[side + "_re"] + 1j * arrays[side + "_im"])
+        for side in ("plus", "minus"))
+    cert = ellipticity_certificate(data, loops)
+    a_min = float(np.min(a))
+    cert["aMin"] = a_min
+    cert["pass"] = cert["pass"] and a_min > 0
+    return cert

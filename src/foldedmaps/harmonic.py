@@ -161,10 +161,6 @@ class LaurentField:
         e = np.exp(1j * np.outer(theta, n))
         return e @ (self.coeffs * fac)
 
-    def real_part(self) -> "LaurentField":
-        tr = self.trace().real
-        return LaurentField(self.kind, sp.coeffs(tr), self.puncture_pole_order)
-
     def check_support(self, holomorphic_side: bool = True,
                       tol: float = 1e-10) -> bool:
         """Coefficients vanish outside the allowed index range.

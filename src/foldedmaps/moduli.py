@@ -123,11 +123,6 @@ class FoldedMapBundle:
     tracking_point: Optional[FoldPoint] = None
     label: str = ""
 
-    @property
-    def homology_labels(self) -> dict[str, tuple[complex, int]]:
-        return {"plus": (self.x.m, self.degree),
-                "minus": (self.x.m, -self.degree)}
-
 
 @dataclass
 class VerificationReport:
@@ -558,7 +553,7 @@ def bundle_report(bundle: FoldedMapBundle,
     them in.
     """
     from .boundary_operator import (boperator_data_from_bundle,
-                                    boundary_condition_loops)
+                                    boundary_condition_loops, report_sections)
     if report is None:
         report = verify_folded_holomorphic(bundle)
     if op_data is None:
@@ -566,21 +561,7 @@ def bundle_report(bundle: FoldedMapBundle,
     if loops is None:
         loops = boundary_condition_loops(bundle)
     conj = report.conjugacy
-    data = {
-        "a": list(map(float, op_data.a_samples)),
-        "AF_re": list(map(float, op_data.af_samples.real)),
-        "AF_im": list(map(float, op_data.af_samples.imag)),
-        "f_chi": list(map(float, op_data.f_chi)),
-        "f_jchi": list(map(float, op_data.f_jchi)),
-        "sigma_radius": float(op_data.sigma_radius),
-    }
-    lp, lm = loops
-    loop_data = {
-        "plus_re": list(map(float, lp.frames[:, 0, 0].real)),
-        "plus_im": list(map(float, lp.frames[:, 0, 0].imag)),
-        "minus_re": list(map(float, lm.frames[:, 0, 0].real)),
-        "minus_im": list(map(float, lm.frames[:, 0, 0].imag)),
-    }
+    operator, loop_data = report_sections(op_data, loops)
     return {
         "schema": "folded-maps/1",
         "label": bundle.label,
@@ -597,6 +578,6 @@ def bundle_report(bundle: FoldedMapBundle,
             "eigenmode_direction_residual": conj.eigenmode_direction_residual,
         },
         "energies": dict(bundle.energies),
-        "boundary_operator": data,
+        "boundary_operator": operator,
         "loops": loop_data,
     }

@@ -10,7 +10,7 @@ by the asymptotic energy is (u, theta) / (2 pi).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,9 +20,9 @@ from . import _spectral as sp
 from .config import CONFIG
 from .errors import (DomainError, GapSignError, NonTransverseCrossingError,
                      VerificationError)
-from .harmonic import BoundaryLoopSamples, ExteriorPunctured, boundary_period, \
+from .harmonic import BoundaryLoopSamples, ExteriorPunctured, \
     solve_neumann_vanishing
-from .sphere import CharacteristicParam, FoldPoint
+from .sphere import CharacteristicParam
 
 TWO_PI = 2.0 * np.pi
 
@@ -42,6 +42,8 @@ class TunnelMapSample:
     rings[i, k] is the unit C^2 value at z = rho e^{ring_u[i]} e^{i theta_k};
     ring_u[0] = 0 is the domain fold sigma.  `x` and `degree` record the
     limiting closed characteristic and the puncture multiplicity.
+    `rings` and `ring_u` are read-only views, so the derived fields cached
+    on the sample stay in step with them.
     """
 
     rho: float
@@ -49,10 +51,14 @@ class TunnelMapSample:
     rings: np.ndarray              # (R, M, 2) complex
     x: CharacteristicParam
     degree: int
+    _derived: Optional[_Derived] = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     def __post_init__(self):
-        self.ring_u = np.asarray(self.ring_u, dtype=float)
-        self.rings = np.asarray(self.rings, dtype=complex)
+        self.ring_u = np.asarray(self.ring_u, dtype=float).view()
+        self.rings = np.asarray(self.rings, dtype=complex).view()
+        self.ring_u.flags.writeable = False
+        self.rings.flags.writeable = False
         if self.rings.ndim != 3 or self.rings.shape[2] != 2:
             raise DomainError("rings must have shape (R, M, 2)")
         if self.rings.shape[0] != len(self.ring_u):
@@ -76,9 +82,6 @@ class TunnelMapSample:
 
     def boundary(self) -> np.ndarray:
         return self.rings[0]
-
-    def boundary_fold_points(self) -> list[FoldPoint]:
-        return [FoldPoint(complex(v[0]), complex(v[1])) for v in self.rings[0]]
 
 
 def sample_tunnel_map(fn: Callable[[np.ndarray], np.ndarray], rho: float,
@@ -139,14 +142,11 @@ class _Derived:
     alpha_u: np.ndarray    # (R, M)  v*alpha(d_u)
     chi_t: np.ndarray      # (R, M)  F-coefficient of dv(d_theta)
     chi_u: np.ndarray      # (R, M)  F-coefficient of dv(d_u)
-    d_theta: np.ndarray
-    d_u: np.ndarray
 
 
 def derived_fields(v: TunnelMapSample) -> _Derived:
-    cached = getattr(v, "_derived", None)
-    if cached is not None:
-        return cached
+    if v._derived is not None:
+        return v._derived
     dth = _d_theta(v.rings)
     du = _d_u(v.rings, v.ring_u)
     a = v.rings[:, :, 0]
@@ -158,9 +158,8 @@ def derived_fields(v: TunnelMapSample) -> _Derived:
     # F-coefficients against the contact frame (-conj w, conj z) pointwise
     chi_t = 0.0 + (-b) * dth[..., 0] + a * dth[..., 1]
     chi_u = 0.0 + (-b) * du[..., 0] + a * du[..., 1]
-    out = _Derived(alpha_t, alpha_u, chi_t, chi_u, dth, du)
-    v._derived = out
-    return out
+    v._derived = _Derived(alpha_t, alpha_u, chi_t, chi_u)
+    return v._derived
 
 
 def hopf_ratio(v: TunnelMapSample) -> np.ndarray:
@@ -209,15 +208,12 @@ def residual_H(v: TunnelMapSample) -> HResidual:
 
 def check_periods(v: TunnelMapSample) -> float:
     """Max over rings of the period of v*alpha o j."""
-    d = derived_fields(v)
-    periods = [boundary_period(BoundaryLoopSamples(-d.alpha_u[i], v.radii()[i]))
-               for i in range(v.n_rings)]
-    return float(np.max(np.abs(periods)))
+    return float(np.max(np.abs(ring_periods(v))))
 
 
 def ring_periods(v: TunnelMapSample) -> np.ndarray:
-    d = derived_fields(v)
-    return np.array([-TWO_PI * np.mean(d.alpha_u[i]) for i in range(v.n_rings)])
+    """Period of v*alpha o j on every ring, shape (R,)."""
+    return -TWO_PI * np.mean(derived_fields(v).alpha_u, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,7 @@ def test_criterion_08_graph_consistency():
             phase * np.exp(1j * k * th),
             np.zeros(M_FULL),
             RNG.normal() * np.cos(k * th + RNG.uniform()))
-        worst = max(worst, B.graph_check_dDeltaZ(bundle.pair, xi, data))
+        worst = max(worst, B.graph_check_dDeltaZ(xi, data))
     ok = worst < 1e-7
     _report(8, "operator graph consistency", ok, f"(worst residual {worst:.2e})")
 

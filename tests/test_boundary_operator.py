@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from foldedmaps import _spectral as sp
 from foldedmaps import boundary_operator as B
+from foldedmaps import cli
 from foldedmaps import moduli as Mo
 from foldedmaps.errors import DomainError
 from foldedmaps.tunneling import derived_fields
@@ -93,12 +96,12 @@ def test_gap_data_positive_and_constant_for_family():
 
 
 def test_graph_check_reeb_section():
-    r = B.graph_check_dDeltaZ(BUNDLE.pair, section(xi_l=np.ones(M_RES)), BOP)
+    r = B.graph_check_dDeltaZ(section(xi_l=np.ones(M_RES)), BOP)
     assert r < 1e-9
 
 
 def test_graph_check_zero_section():
-    assert B.graph_check_dDeltaZ(BUNDLE.pair, section(), BOP) == 0.0
+    assert B.graph_check_dDeltaZ(section(), BOP) == 0.0
 
 
 def test_graph_check_single_modes():
@@ -108,12 +111,12 @@ def test_graph_check_single_modes():
         ph = np.exp(2j * np.pi * rng.uniform())
         xi = section(xi_f=ph * np.exp(1j * k * TH),
                      xi_l=rng.normal() * np.cos(k * TH))
-        assert B.graph_check_dDeltaZ(BUNDLE.pair, xi, BOP) < 1e-7
+        assert B.graph_check_dDeltaZ(xi, BOP) < 1e-7
 
 
 def test_graph_check_rejects_transverse_sections():
     with pytest.raises(DomainError):
-        B.graph_check_dDeltaZ(BUNDLE.pair, section(xi_k=np.ones(M_RES)), BOP)
+        B.graph_check_dDeltaZ(section(xi_k=np.ones(M_RES)), BOP)
 
 
 # ---------------------------------------------------------------------------
@@ -308,3 +311,75 @@ def test_certificate_schema():
     assert cert["index"] == 8
     assert cert["maslovPlus"] == cert["maslovMinus"] == 2
     assert cert["sigmaMin"] > 0.1 * cert["aMin"]
+
+
+# ---------------------------------------------------------------------------
+# report sections and the certificate of a report
+
+
+def degree_curve_bundle(d, c=0.3 + 0.2j, m=np.exp(0.7j)):
+    r0m = np.sqrt(1 - abs(c) ** 2) * m
+    curve = Mo.CurveInput(np.array([0] * d + [r0m]), np.array([m * c]), m)
+    return Mo.construct_degree_d(curve, m, M_RES, NR)
+
+
+def serialized_report(bundle, data, loops):
+    report = Mo.bundle_report(bundle, Mo.verify_folded_holomorphic(bundle),
+                              data, loops)
+    return json.loads(cli.format_json(report))
+
+
+def test_from_directions_frames():
+    dirs = np.exp(2j * TH)
+    frames = B.TotallyRealLoop.from_directions(dirs).frames
+    assert frames.shape == (M_RES, 2, 2)
+    assert np.array_equal(frames[:, 0, 0], dirs)
+    assert np.all(frames[:, 1, 1] == 1.0)
+    assert np.all(frames[:, 0, 1] == 0.0) and np.all(frames[:, 1, 0] == 0.0)
+
+
+def test_report_sections_list_operator_data_and_loop_directions():
+    lp, lm = B.boundary_condition_loops(BUNDLE)
+    operator, loop_data = B.report_sections(BOP, (lp, lm))
+    assert operator == {
+        "a": BOP.a_samples.tolist(),
+        "AF_re": BOP.af_samples.real.tolist(),
+        "AF_im": BOP.af_samples.imag.tolist(),
+        "f_chi": BOP.f_chi.tolist(),
+        "f_jchi": BOP.f_jchi.tolist(),
+        "sigma_radius": BOP.sigma_radius,
+    }
+    assert loop_data == {
+        "plus_re": lp.frames[:, 0, 0].real.tolist(),
+        "plus_im": lp.frames[:, 0, 0].imag.tolist(),
+        "minus_re": lm.frames[:, 0, 0].real.tolist(),
+        "minus_im": lm.frames[:, 0, 0].imag.tolist(),
+    }
+    assert list(operator) == ["a", "AF_re", "AF_im", "f_chi", "f_jchi",
+                              "sigma_radius"]
+    assert list(loop_data) == ["plus_re", "plus_im", "minus_re", "minus_im"]
+    assert all(type(x) is float for x in operator["a"] + loop_data["plus_re"])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BUNDLE,
+    lambda: family_bundle(0.0, 1.0),     # degenerate stratum
+    lambda: degree_curve_bundle(3),
+], ids=["degree1", "degenerate", "degree3"])
+def test_certificate_from_report_round_trip(make):
+    bundle = make()
+    data = B.boperator_data_from_bundle(bundle)
+    loops = B.boundary_condition_loops(bundle)
+    cert = B.certificate_from_report(serialized_report(bundle, data, loops))
+    expected = B.ellipticity_certificate(data, loops)
+    assert cert == expected
+    assert list(cert) == list(expected)
+
+
+def test_certificate_from_report_negative_gap_fails():
+    report = serialized_report(BUNDLE, BOP, B.boundary_condition_loops(BUNDLE))
+    report["boundary_operator"]["a"][13] = -0.25
+    cert = B.certificate_from_report(report)
+    assert cert["aMin"] == -0.25
+    assert cert["argminSample"] == 13
+    assert cert["pass"] is False

@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -184,6 +186,43 @@ def test_certificate_detects_zeroed_gap(tmp_path):
 def test_certificate_missing_file(tmp_path):
     assert run(["certificate", "--bundle", str(tmp_path / "nope.json"),
                 "--out", "-"]) == cli.EXIT_INPUT
+
+
+@pytest.fixture(scope="module")
+def report64(tmp_path_factory):
+    path = tmp_path_factory.mktemp("report") / "r.json"
+    assert run(["degree1", "--c", "0.5", "--resolution", "64",
+                "--out", str(path)]) == cli.EXIT_PASS
+    return json.loads(path.read_text())
+
+
+MALFORMED_REPORTS = {
+    "nan-AF_re": lambda rep: rep["boundary_operator"]["AF_re"].__setitem__(
+        5, math.nan),
+    "nan-a": lambda rep: rep["boundary_operator"]["a"].__setitem__(
+        5, math.nan),
+    "nan-plus_re": lambda rep: rep["loops"]["plus_re"].__setitem__(
+        5, math.nan),
+    "short-a": lambda rep: rep["boundary_operator"].update(
+        a=rep["boundary_operator"]["a"][:10]),
+    "empty-a": lambda rep: rep["boundary_operator"].update(a=[]),
+    "no-loops": lambda rep: rep.pop("loops"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+def test_certificate_rejects_malformed_report(tmp_path, capsys, report64,
+                                              case):
+    rep = copy.deepcopy(report64)
+    MALFORMED_REPORTS[case](rep)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(rep))
+    capsys.readouterr()
+    assert run(["certificate", "--bundle", str(bad),
+                "--out", "-"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

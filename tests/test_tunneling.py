@@ -164,6 +164,19 @@ def test_residual_needs_rings():
         T.residual_H(short)
 
 
+def test_sample_ladders_are_read_only_and_derived_fields_cached():
+    vplus, _ = family_maps(0.3, 1.0)
+    u = T.default_ring_u()
+    rings = vplus(np.exp(u)[:, None] * np.exp(1j * sp.angles(64))[None, :])
+    v = T.TunnelMapSample(1.0, u, rings, CharacteristicParam(1.0), 1)
+    with pytest.raises(ValueError):
+        v.rings[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        v.ring_u[1] = 0.5
+    assert rings.flags.writeable and u.flags.writeable
+    assert T.derived_fields(v) is T.derived_fields(v)
+
+
 # ---------------------------------------------------------------------------
 # periods
 
