@@ -31,16 +31,24 @@ def from_coeffs(c: np.ndarray) -> np.ndarray:
     return np.fft.ifft(c, axis=0) * c.shape[0]
 
 
-def theta_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
-    """Spectral d/dtheta along axis 0; exact for band-limited samples."""
-    m = values.shape[0]
+def theta_derivative(values: np.ndarray, order: int = 1,
+                     axis: int = 0) -> np.ndarray:
+    """Spectral d/dtheta along `axis`; exact for band-limited samples.
+
+    One FFT, one multiply and one inverse FFT; the 1/M of the coefficients
+    and the M of the synthesis cancel, so neither is applied.
+    """
+    m = values.shape[axis]
     n = modes(m)
     mult = (1j * n) ** order
     if order % 2 == 1 and m % 2 == 0:
         # kill the unmatched Nyquist mode of odd derivatives
         mult[m // 2] = 0.0
-    shape = (m,) + (1,) * (values.ndim - 1)
-    out = from_coeffs(coeffs(values) * mult.reshape(shape))
+    shape = [1] * values.ndim
+    shape[axis] = m
+    c = np.fft.fft(values, axis=axis)
+    c *= mult.reshape(shape)
+    out = np.fft.ifft(c, axis=axis, out=c)
     if np.isrealobj(values):
         return out.real
     return out

@@ -43,6 +43,9 @@ def format_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if all(type(v) is float for v in obj):
+            # the sample arrays: the same bytes as the per-item path below
+            return "[" + ", ".join([format(v, ".17g") for v in obj]) + "]"
         flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
         if flat:
             return "[" + ", ".join(format_json(v) for v in obj) + "]"

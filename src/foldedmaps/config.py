@@ -1,15 +1,15 @@
 """Global numerical tolerances and grid defaults.
 
-All operations are pure; tolerances are read at call time from the module
-level config object, which the CLI may override from a JSON file.  Tests
-that need a tweaked tolerance use `override` as a context manager.
+Operations read the tolerances and the grid at call time from the module
+level config object; the CLI may override fields of both from a JSON file
+for the length of one call.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 
 @dataclass(frozen=True)
@@ -55,22 +55,59 @@ class Config:
 CONFIG = Config()
 
 
+def _section(current, name: str, data: object) -> dict:
+    """Checked field overrides for one section of a config file."""
+    if not isinstance(data, dict):
+        raise ValueError(f"config section {name!r} must be an object")
+    known = {f.name for f in fields(current)}
+    out = {}
+    for key, value in data.items():
+        if key not in known:
+            raise ValueError(f"unknown config field {name}.{key}")
+        if isinstance(getattr(current, key), int):
+            if type(value) is not int:
+                raise ValueError(
+                    f"config field {name}.{key} must be an integer, "
+                    f"got {value!r}")
+        else:
+            try:
+                number = float(value) if type(value) in (int, float) \
+                    else math.nan
+            except OverflowError:       # an integer beyond the float range
+                number = math.inf
+            if not math.isfinite(number):
+                raise ValueError(
+                    f"config field {name}.{key} must be a finite number, "
+                    f"got {value!r}")
+            value = number
+        out[key] = value
+    return out
+
+
 def load_config(path: str) -> None:
-    """Override tolerance fields from a JSON file {\"tol\": {...}, \"grid\": {...}}."""
+    """Override fields from a JSON file {"tol": {...}, "grid": {...}}.
+
+    Both sections are optional.  Integer fields take JSON integers, float
+    fields finite numbers; `radial_nodes` must be at least 2 and
+    `boundary_samples` a power of two in [64, 8192].  Anything else raises
+    ValueError and changes nothing.
+    """
     with open(path) as fh:
         data = json.load(fh)
-    if "tol" in data:
-        CONFIG.tol = replace(CONFIG.tol, **data["tol"])
-    if "grid" in data:
-        CONFIG.grid = replace(CONFIG.grid, **data["grid"])
-
-
-@contextlib.contextmanager
-def override(**tol_fields):
-    """Temporarily replace tolerance fields, e.g. override(abs_tol=1e-6)."""
-    old = CONFIG.tol
-    CONFIG.tol = replace(old, **tol_fields)
-    try:
-        yield CONFIG.tol
-    finally:
-        CONFIG.tol = old
+    if not isinstance(data, dict):
+        raise ValueError("config must be a JSON object")
+    extra = set(data) - {"tol", "grid"}
+    if extra:
+        raise ValueError(f"unknown config sections {sorted(extra)}")
+    tol = replace(CONFIG.tol, **_section(CONFIG.tol, "tol",
+                                         data.get("tol", {})))
+    grid = replace(CONFIG.grid, **_section(CONFIG.grid, "grid",
+                                           data.get("grid", {})))
+    if grid.radial_nodes < 2:
+        raise ValueError(
+            f"grid.radial_nodes must be at least 2, got {grid.radial_nodes}")
+    m = grid.boundary_samples
+    if m & (m - 1) != 0 or not 64 <= m <= 8192:
+        raise ValueError("grid.boundary_samples must be a power of two in "
+                         f"[64, 8192], got {m}")
+    CONFIG.tol, CONFIG.grid = tol, grid

@@ -163,6 +163,11 @@ class VerificationReport:
 # degree-1 family
 
 
+def _planes_view(*components: np.ndarray) -> np.ndarray:
+    """(..., 2) view of C^2 samples stored as contiguous component planes."""
+    return np.moveaxis(np.stack(components), 0, -1)
+
+
 def _family_charts(c: complex, m: complex, m_res: int, nr: int):
     r0 = np.sqrt(1.0 - abs(c) ** 2)
     th = sp.angles(m_res)
@@ -171,13 +176,13 @@ def _family_charts(c: complex, m: complex, m_res: int, nr: int):
     z = radii[:, None] * np.exp(1j * th)[None, :]
     ph = np.exp(1j * th)[None, :]
 
-    y_plus = np.stack([r0 * m * z, np.full_like(z, m * c)], axis=2)
-    dy_plus = np.stack([r0 * m * ph * np.ones_like(z), np.zeros_like(z)], axis=2)
+    y_plus = _planes_view(r0 * m * z, np.full_like(z, m * c))
+    dy_plus = _planes_view(r0 * m * ph * np.ones_like(z), np.zeros_like(z))
 
     # lower side in the inverted coordinate zeta = 1/z
-    y_minus = np.stack([r0 * m * z, m * c * z ** 2], axis=2)
-    dy_minus = np.stack([r0 * m * ph * np.ones_like(z),
-                         2 * m * c * z * ph], axis=2)
+    y_minus = _planes_view(r0 * m * z, m * c * z ** 2)
+    dy_minus = _planes_view(r0 * m * ph * np.ones_like(z),
+                            2 * m * c * z * ph)
     return (ChartGrid(radii, weights, y_plus, dy_plus),
             ChartGrid(radii, weights, y_minus, dy_minus), r0, th)
 

@@ -17,6 +17,7 @@ positive Reeb direction).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -273,21 +274,44 @@ def involution(p: Point4Sphere) -> Point4Sphere:
     return Point4Sphere(x)
 
 
+def _equator_planes(y: np.ndarray, dy: Optional[np.ndarray] = None
+                    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """equator_map (and its differential applied to dy) on component planes.
+
+    y and dy are (2, ...) stacks of the C^2 components; the results are
+    contiguous (2, ...) planes.
+    """
+    y0, y1 = y
+    # two-term sums start from +0.0, as np.sum does, so exact zeros are +0
+    d = 1.0 + (0.0 + np.abs(y0) ** 2 + np.abs(y1) ** 2)
+    # one component at a time keeps the temporaries plane-sized; [k, ...]
+    # is a view even for a single vector
+    vals = np.empty((2,) + np.shape(d), dtype=complex)
+    for k in (0, 1):
+        np.multiply(2.0, y[k], out=vals[k, ...])
+        vals[k, ...] /= d
+    if dy is None:
+        return vals, None
+    inner = 0.0 + np.real(np.conj(y0) * dy[0]) + np.real(np.conj(y1) * dy[1])
+    d2 = d ** 2
+    dvals = np.empty((2,) + np.shape(inner), dtype=complex)
+    for k in (0, 1):
+        np.subtract(2.0 * dy[k] / d, 4.0 * y[k] * inner / d2,
+                    out=dvals[k, ...])
+    return vals, dvals
+
+
 def equator_map(y: np.ndarray) -> np.ndarray:
     """Pi composed with either hemisphere chart: y -> 2 y / (1 + |y|^2)."""
     y = np.asarray(y, dtype=complex)
-    n2 = np.sum(np.abs(y) ** 2, axis=-1, keepdims=True)
-    return 2.0 * y / (1.0 + n2)
+    return np.moveaxis(_equator_planes(np.moveaxis(y, -1, 0))[0], 0, -1)
 
 
 def equator_map_differential(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Differential of equator_map applied to dy (broadcasts over grids)."""
-    y = np.asarray(y, dtype=complex)
-    dy = np.asarray(dy, dtype=complex)
-    n2 = np.sum(np.abs(y) ** 2, axis=-1, keepdims=True)
-    d = 1.0 + n2
-    inner = np.sum(np.real(np.conj(y) * dy), axis=-1, keepdims=True)
-    return 2.0 * dy / d - 4.0 * y * inner / d ** 2
+    y = np.moveaxis(np.asarray(y, dtype=complex), -1, 0)
+    dy = np.moveaxis(np.asarray(dy, dtype=complex), -1, 0)
+    return np.moveaxis(_equator_planes(y, dy)[1], 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +398,14 @@ def hopf_project(p: FoldPoint) -> ProjectivePoint:
 # energy quadrature
 
 
+@functools.lru_cache(maxsize=16)
 def gauss_legendre_radial(nr: int, r_max: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, r_max], read-only and cached."""
     nodes, weights = np.polynomial.legendre.leggauss(nr)
     r = 0.5 * r_max * (nodes + 1.0)
     w = 0.5 * r_max * weights
+    r.setflags(write=False)
+    w.setflags(write=False)
     return r, w
 
 
@@ -400,6 +428,8 @@ class PolarMapGrid:
     2 pi k / M.  `weights` are radial quadrature weights; `dvalues_dr`,
     when given, holds exact radial derivatives (otherwise a barycentric
     differentiation matrix over the radial nodes is used).
+    `grid_from_chart` stores both as (nr, M, 2) views of contiguous
+    (2, nr, M) component planes.
     """
 
     radii: np.ndarray
@@ -418,13 +448,14 @@ def grid_from_chart(chart_values: np.ndarray, radii: np.ndarray,
                     weights: np.ndarray,
                     dchart_dr: Optional[np.ndarray] = None) -> PolarMapGrid:
     """Build a PolarMapGrid from ball-chart samples y (and optional dy/dr)."""
-    y = np.asarray(chart_values, dtype=complex)
-    vals = equator_map(y)
-    dvr = None
+    y = np.moveaxis(np.asarray(chart_values, dtype=complex), -1, 0)
+    dy = None
     if dchart_dr is not None:
-        dvr = equator_map_differential(y, np.asarray(dchart_dr, dtype=complex))
+        dy = np.moveaxis(np.asarray(dchart_dr, dtype=complex), -1, 0)
+    vals, dvals = _equator_planes(y, dy)
     return PolarMapGrid(np.asarray(radii, float), np.asarray(weights, float),
-                        vals, dvr)
+                        np.moveaxis(vals, 0, 2),
+                        None if dvals is None else np.moveaxis(dvals, 0, 2))
 
 
 def omega_energy(grid: PolarMapGrid) -> float:
@@ -433,18 +464,19 @@ def omega_energy(grid: PolarMapGrid) -> float:
     Spectral in the angle, Gauss quadrature in the radius; exact radial
     derivatives are used when the grid carries them.
     """
-    y = grid.values
-    m = y.shape[1]
-    dtheta = sp.theta_derivative(np.moveaxis(y, 1, 0))
-    dtheta = np.moveaxis(dtheta, 0, 1)
+    planes = np.moveaxis(grid.values, 2, 0)
+    m = planes.shape[2]
+    dt0, dt1 = sp.theta_derivative(planes, axis=-1)
     if grid.dvalues_dr is not None:
-        dr = grid.dvalues_dr
+        dr0, dr1 = np.moveaxis(grid.dvalues_dr, 2, 0)
     else:
         # one real matmul over the interleaved (re, im) columns
         d = _barycentric_diff_matrix(grid.radii)
+        y = grid.values
         flat = np.ascontiguousarray(y, dtype=complex)
         flat = flat.reshape(len(y), -1).view(float)
         dr = (d @ flat).view(complex).reshape(y.shape)
-    density = np.imag(np.sum(np.conj(dr) * dtheta, axis=2)) / np.pi
+        dr0, dr1 = dr[..., 0], dr[..., 1]
+    density = np.imag(0.0 + np.conj(dr0) * dt0 + np.conj(dr1) * dt1) / np.pi
     ring_integrals = np.sum(density, axis=1) * (2.0 * np.pi / m)
     return float(np.dot(grid.weights, ring_integrals))

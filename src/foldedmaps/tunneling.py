@@ -39,43 +39,50 @@ def default_ring_u(u_max: float = 8.0, spacing: float = 0.04) -> np.ndarray:
 class TunnelMapSample:
     """Tunneling map samples on a ring ladder of its exterior domain.
 
-    rings[i, k] is the unit C^2 value at z = rho e^{ring_u[i]} e^{i theta_k};
-    ring_u[0] = 0 is the domain fold sigma.  `x` and `degree` record the
+    planes[c, i, k] is component c of the unit C^2 value at
+    z = rho e^{ring_u[i]} e^{i theta_k}; ring_u[0] = 0 is the domain fold
+    sigma.  The planes are the stored form: two C-contiguous (R, M) arrays,
+    so every kernel runs along the contiguous angle axis.  `rings` is the
+    (R, M, 2) view of the same memory.  `x` and `degree` record the
     limiting closed characteristic and the puncture multiplicity.
-    `rings` and `ring_u` are read-only views, so the derived fields cached
-    on the sample stay in step with them.
+    `planes`, `rings` and `ring_u` are read-only, so the derived fields
+    cached on the sample stay in step with them.
     """
 
     rho: float
     ring_u: np.ndarray
-    rings: np.ndarray              # (R, M, 2) complex
+    rings: np.ndarray              # (R, M, 2) complex, view of planes
     x: CharacteristicParam
     degree: int
+    planes: np.ndarray = field(init=False, repr=False, compare=False)
     _derived: Optional[_Derived] = field(default=None, init=False,
                                          repr=False, compare=False)
 
     def __post_init__(self):
         self.ring_u = np.asarray(self.ring_u, dtype=float).view()
-        self.rings = np.asarray(self.rings, dtype=complex).view()
-        self.ring_u.flags.writeable = False
-        self.rings.flags.writeable = False
-        if self.rings.ndim != 3 or self.rings.shape[2] != 2:
+        rings = np.asarray(self.rings, dtype=complex)
+        if rings.ndim != 3 or rings.shape[2] != 2:
             raise DomainError("rings must have shape (R, M, 2)")
+        # no copy when rings is already the (R, M, 2) view of planes
+        self.planes = np.ascontiguousarray(np.moveaxis(rings, 2, 0))
+        self.ring_u.flags.writeable = False
+        self.planes.flags.writeable = False
+        self.rings = np.moveaxis(self.planes, 0, 2)
         if self.rings.shape[0] != len(self.ring_u):
             raise DomainError("ring ladder shape mismatch")
         if np.any(np.diff(self.ring_u) <= 0):
             raise DomainError("ring radii must be strictly increasing")
-        norms = np.sum(np.abs(self.rings) ** 2, axis=2)
+        norms = np.abs(self.planes[0]) ** 2 + np.abs(self.planes[1]) ** 2
         if np.max(np.abs(norms - 1.0)) > 1e-9:
             raise DomainError("ring samples must lie on S^3")
 
     @property
     def m(self) -> int:
-        return self.rings.shape[1]
+        return self.planes.shape[2]
 
     @property
     def n_rings(self) -> int:
-        return self.rings.shape[0]
+        return self.planes.shape[1]
 
     def radii(self) -> np.ndarray:
         return self.rho * np.exp(self.ring_u)
@@ -87,7 +94,11 @@ class TunnelMapSample:
 def sample_tunnel_map(fn: Callable[[np.ndarray], np.ndarray], rho: float,
                       m: int, x: CharacteristicParam, degree: int,
                       ring_u: Optional[np.ndarray] = None) -> TunnelMapSample:
-    """Sample fn(z) -> unit C^2 values over the default ring ladder."""
+    """Sample fn(z) -> unit C^2 values (..., 2) over the default ring ladder.
+
+    When fn returns the (..., 2) view of contiguous (2, ...) component
+    planes, the sample keeps those planes without a copy.
+    """
     if ring_u is None:
         ring_u = default_ring_u()
     th = sp.angles(m)
@@ -101,8 +112,8 @@ def sample_tunnel_map(fn: Callable[[np.ndarray], np.ndarray], rho: float,
 
 
 def _d_theta(values: np.ndarray) -> np.ndarray:
-    """Spectral d/dtheta of ladder data (R, M, ...), one FFT along the angles."""
-    return np.moveaxis(sp.theta_derivative(np.moveaxis(values, 1, 0)), 0, 1)
+    """Spectral d/dtheta of ladder data (..., M), one FFT along the angles."""
+    return sp.theta_derivative(values, axis=-1)
 
 
 @functools.lru_cache(maxsize=16)
@@ -123,15 +134,48 @@ def _ladder_stencil(nodes: tuple[float, ...],
     return weights, starts
 
 
+# rings per block of interior d/du rows: at M = 2048 one block (8 output
+# rows and 16 input rows of 2M floats) stays in L2
+_D_U_BLOCK = 8
+
+
+def _stencil_rows(out: np.ndarray, w: np.ndarray, x: np.ndarray, lo: int,
+                  shared: bool) -> None:
+    """out[k] = w[k, 0] x[s_k] + w[k, 1] x[s_k + 1] + ..., left to right.
+
+    s_k = lo for every row when the rows share one window, else lo + k.
+    """
+    n = 1 if shared else len(out)
+    tmp = np.empty_like(out)
+    np.multiply(w[:, :1], x[lo:lo + n], out=out)
+    for j in range(1, w.shape[1]):
+        np.multiply(w[:, j:j + 1], x[lo + j:lo + j + n], out=tmp)
+        out += tmp
+
+
 def _d_u(values: np.ndarray, u: np.ndarray, width: int = 9) -> np.ndarray:
-    """d/du of ladder data (R, ...) with windowed high-order stencils."""
+    """d/du along axis 0 of ladder data (R, ...), windowed Fornberg stencils.
+
+    Each row is the left-to-right sum of its stencil terms, taken on the
+    float64 view (complex data as interleaved re/im) on one core without
+    BLAS: the edge rows at either end share one window, the interior rows
+    go in blocks of _D_U_BLOCK rings.  Real data gives real output.
+    """
     r = values.shape[0]
     width = min(width, r)
-    weights, starts = _ladder_stencil(tuple(u.tolist()), width)
-    out = np.empty_like(values, dtype=complex)
-    for i, lo in enumerate(starts):
-        out[i] = np.tensordot(weights[i], values[lo:lo + width], axes=(0, 0))
-    return out
+    weights, _ = _ladder_stencil(tuple(u.tolist()), width)
+    x = np.ascontiguousarray(values).reshape(r, -1)
+    if np.iscomplexobj(x):
+        x = x.view(float)
+    out = np.empty_like(x)
+    half = width // 2
+    hi = r - width + half + 1          # rows [half, hi) have centred windows
+    _stencil_rows(out[:half], weights[:half], x, 0, True)
+    for i0 in range(half, hi, _D_U_BLOCK):
+        i1 = min(i0 + _D_U_BLOCK, hi)
+        _stencil_rows(out[i0:i1], weights[i0:i1], x, i0 - half, False)
+    _stencil_rows(out[hi:], weights[hi:], x, r - width, True)
+    return out.view(values.dtype).reshape(values.shape)
 
 
 @dataclass
@@ -147,25 +191,24 @@ class _Derived:
 def derived_fields(v: TunnelMapSample) -> _Derived:
     if v._derived is not None:
         return v._derived
-    dth = _d_theta(v.rings)
-    du = _d_u(v.rings, v.ring_u)
-    a = v.rings[:, :, 0]
-    b = v.rings[:, :, 1]
+    a, b = v.planes
+    dth_a, dth_b = _d_theta(v.planes)
+    du_a = _d_u(a, v.ring_u)
+    du_b = _d_u(b, v.ring_u)
     ca, cb = np.conj(a), np.conj(b)
     # two-term sums start from +0.0, as np.sum does, so exact zeros are +0
-    alpha_t = np.imag(0.0 + ca * dth[..., 0] + cb * dth[..., 1]) / TWO_PI
-    alpha_u = np.imag(0.0 + ca * du[..., 0] + cb * du[..., 1]) / TWO_PI
+    alpha_t = np.imag(0.0 + ca * dth_a + cb * dth_b) / TWO_PI
+    alpha_u = np.imag(0.0 + ca * du_a + cb * du_b) / TWO_PI
     # F-coefficients against the contact frame (-conj w, conj z) pointwise
-    chi_t = 0.0 + (-b) * dth[..., 0] + a * dth[..., 1]
-    chi_u = 0.0 + (-b) * du[..., 0] + a * du[..., 1]
+    chi_t = 0.0 + (-b) * dth_a + a * dth_b
+    chi_u = 0.0 + (-b) * du_a + a * du_b
     v._derived = _Derived(alpha_t, alpha_u, chi_t, chi_u)
     return v._derived
 
 
 def hopf_ratio(v: TunnelMapSample) -> np.ndarray:
     """Affine coordinate of the Hopf projection in the dominant chart."""
-    a = v.rings[:, :, 0]
-    b = v.rings[:, :, 1]
+    a, b = v.planes
     if np.max(np.abs(b)) <= np.max(np.abs(a)):
         return b / a
     return a / b
@@ -201,7 +244,7 @@ def residual_H(v: TunnelMapSample) -> HResidual:
     # (v*alpha o j) has components (alpha_t, -alpha_u) on (d_u, d_theta)
     lam_u = d.alpha_t
     lam_t = -d.alpha_u
-    closed = _d_u(lam_t.astype(complex), v.ring_u).real - _d_theta(lam_u)
+    closed = _d_u(lam_t, v.ring_u) - _d_theta(lam_u)
     l_res = float(np.max(np.abs(closed)))
     return HResidual(f_res, l_res)
 
@@ -249,7 +292,7 @@ def asymptotic_energy(v: TunnelMapSample, delta: float,
     s = v.ring_u / TWO_PI
     a_s = TWO_PI * d.alpha_u
     a_t = TWO_PI * d.alpha_t
-    a_t_s = TWO_PI * _d_u(a_t.astype(complex), v.ring_u).real
+    a_t_s = TWO_PI * _d_u(a_t, v.ring_u)
     a_t_t = TWO_PI * _d_theta(a_t)
     pf2 = (TWO_PI ** 2) * (np.abs(d.chi_u) ** 2 + np.abs(d.chi_t) ** 2)
     dens = np.abs(a_s) ** 2 + a_t_s ** 2 + a_t_t ** 2 + pf2
@@ -359,7 +402,7 @@ def puncture_parameters(v: TunnelMapSample, n_dirs: int = 16) -> np.ndarray:
     """
     step = max(1, v.m // n_dirs)
     cols = np.arange(0, v.m, step)
-    zs = v.rings[-3:, cols, 0]
+    zs = v.planes[0, -3:][:, cols]
     ph = zs / np.abs(zs) / v.x.m
     p1, p2, p3 = ph[0], ph[1], ph[2]
     denom = (p3 - p2) - (p2 - p1)
@@ -371,7 +414,7 @@ def puncture_parameters(v: TunnelMapSample, n_dirs: int = 16) -> np.ndarray:
 def _omega_density(v: TunnelMapSample) -> np.ndarray:
     """Pullback of omega_Z = d(alpha) in the (u, theta) coordinates."""
     d = derived_fields(v)
-    return _d_u(d.alpha_t.astype(complex), v.ring_u).real - _d_theta(d.alpha_u)
+    return _d_u(d.alpha_t, v.ring_u) - _d_theta(d.alpha_u)
 
 
 def check_conjugate(pair: ConjugatePair, n_dirs: int = 16) -> ConjugacyReport:
@@ -455,15 +498,15 @@ def conjugate_partner(v_plus: TunnelMapSample,
         g_single = np.stack([np.real(g0.trace(r)) for r in radii])
     g_tot = winding * th / TWO_PI + g_single + const
     # g_tot is (M,) untwisted or (R, M) twisted; either broadcasts over rings
-    rings = np.exp(2j * np.pi * g_tot)[..., None] * v_plus.rings
-    return TunnelMapSample(v_plus.rho, v_plus.ring_u, rings, x,
-                           -v_plus.degree)
+    planes = np.exp(2j * np.pi * g_tot) * v_plus.planes
+    return TunnelMapSample(v_plus.rho, v_plus.ring_u,
+                           np.moveaxis(planes, 0, 2), x, -v_plus.degree)
 
 
 def make_conjugate_pair(v_plus: TunnelMapSample, v_minus: TunnelMapSample,
                         x: CharacteristicParam) -> ConjugatePair:
     """Assemble a ConjugatePair, reading the transition off the samples."""
-    ratio = v_minus.rings[0, :, 0] / v_plus.rings[0, :, 0]
+    ratio = v_minus.planes[0, 0] / v_plus.planes[0, 0]
     g_boundary = (np.angle(ratio) / TWO_PI) % 1.0
     return ConjugatePair(v_plus, v_minus, x, g_boundary)
 

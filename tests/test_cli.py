@@ -46,6 +46,31 @@ def test_float_format_17_digits():
     assert round_trip["x"] == 1.0 / 3.0
 
 
+def _numpy_floats(obj):
+    # the same values with every float an np.float64, so no list takes
+    # format_json's all-float fast path
+    if type(obj) is float:
+        return np.float64(obj)
+    if isinstance(obj, dict):
+        return {k: _numpy_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_numpy_floats(v) for v in obj)
+    return obj
+
+
+def test_float_list_fast_path_is_byte_identical():
+    floats = [0.1, -0.0, 1e-300, 2.0 / 3.0, 1e22, -5.0, 5e-324]
+    mixed = [0.1, np.float64(0.2), 3, True, None, -0.0, np.int64(4)]
+    nested = [[0.5, 0.25], [np.float64(1.5), 2], {"a": [1.0, -0.0]}, 0.75,
+              (0.125, 0.5), [], mixed]
+    report = {"floats": floats, "mixed": mixed, "nested": nested,
+              "flag": False, "label": "x"}
+    for obj in (floats, tuple(floats), mixed, nested, report):
+        assert cli.format_json(obj) == cli.format_json(_numpy_floats(obj))
+    assert cli.format_json(floats) == \
+        "[" + ", ".join(format(v, ".17g") for v in floats) + "]"
+
+
 # ---------------------------------------------------------------------------
 # degree1
 
@@ -280,3 +305,53 @@ def test_config_rejects_unknown_grid_field(tmp_path, capsys, field):
     assert capsys.readouterr().err.startswith("input error:")
     # the tolerance applied before the bad grid field is rolled back too
     assert run(argv) == cli.EXIT_PASS
+
+
+@pytest.mark.parametrize("text", [
+    '{"grid": {"radial_nodes": -1}}',
+    '{"grid": {"radial_nodes": 1}}',
+    '{"grid": {"radial_nodes": 8.0}}',
+    '{"grid": {"radial_nodes": true}}',
+    '{"grid": {"boundary_samples": 100}}',
+    '{"grid": {"boundary_samples": 16384}}',
+    '2.5', '"8"', '[1, 2]', 'null',
+    '{"tol": {"ellipticity_floor": null}}',
+    '{"tol": {"delta_max": "x"}}',
+    '{"tol": {"delta_max": NaN}}',
+    '{"tol": {"delta_max": Infinity}}',
+    '{"tol": {"delta_max": 1' + '0' * 400 + '}}',
+    '{"tol": {"abs_tol": false}}',
+    '{"tol": [1e-9]}',
+    '{"grid": 4}',
+    '{"tolerances": {}}',
+])
+def test_malformed_config_is_an_input_error(tmp_path, capsys, text):
+    # in process: an exception escaping main fails the test like a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run(["--config", str(cfg), "degree1", "--c", "0.3",
+                "--resolution", "64", "--out", str(tmp_path / "r.json")]) \
+        == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_config_accepts_checked_fields(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tol": {"delta_max": 6, "abs_tol": 1e-9}, '
+                   '"grid": {"radial_nodes": 32, "boundary_samples": 64}}')
+    assert run(["--config", str(cfg), "degree1", "--c", "0.3",
+                "--resolution", "64", "--out", str(tmp_path / "r.json")]) \
+        == cli.EXIT_PASS
+
+
+def test_config_integer_fields_reject_bool(tmp_path):
+    from foldedmaps.config import CONFIG, load_config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"grid": {"radial_nodes": true}}')
+    grid = CONFIG.grid
+    with pytest.raises(ValueError, match="must be an integer"):
+        load_config(str(cfg))
+    assert CONFIG.grid is grid

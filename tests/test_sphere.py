@@ -366,6 +366,72 @@ def test_omega_energy_barycentric_matches_exact_derivative(c, m):
         assert abs(energy - ref) <= 16 * np.finfo(float).eps * abs(ref)
 
 
+def test_equator_map_on_one_vector():
+    y = np.array([0.3 - 0.2j, 0.4j])
+    dy = np.array([1.0, 0.5 - 0.1j])
+    d = 1.0 + np.sum(np.abs(y) ** 2)
+    assert np.allclose(S.equator_map(y), 2.0 * y / d, rtol=0, atol=1e-15)
+    inner = np.real(np.vdot(y, dy))
+    expected = 2.0 * dy / d - 4.0 * y * inner / d ** 2
+    assert np.allclose(S.equator_map_differential(y, dy), expected,
+                       rtol=0, atol=1e-15)
+
+
+def _reference_grid_energy(y, radii, weights, dy=None):
+    # the (nr, M, 2) formulas of equator_map, its differential and
+    # omega_energy that the plane kernels must reproduce bitwise
+    n2 = np.sum(np.abs(y) ** 2, axis=-1, keepdims=True)
+    vals = 2.0 * y / (1.0 + n2)
+    dvr = None
+    if dy is not None:
+        d = 1.0 + n2
+        inner = np.sum(np.real(np.conj(y) * dy), axis=-1, keepdims=True)
+        dvr = 2.0 * dy / d - 4.0 * y * inner / d ** 2
+    dtheta = np.moveaxis(sp.theta_derivative(np.moveaxis(vals, 1, 0)), 0, 1)
+    dr = dvr
+    if dr is None:
+        d = S._barycentric_diff_matrix(radii)
+        flat = vals.reshape(len(vals), -1).view(float)
+        dr = (d @ flat).view(complex).reshape(vals.shape)
+    density = np.imag(np.sum(np.conj(dr) * dtheta, axis=2)) / np.pi
+    ring_integrals = np.sum(density, axis=1) * (2.0 * np.pi / vals.shape[1])
+    return vals, dvr, float(np.dot(weights, ring_integrals))
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_plane_grid_kernels_match_reference(degree):
+    from foldedmaps import moduli as Mo
+    c, m = 0.4 - 0.3j, np.exp(0.9j)
+    if degree == 1:
+        charts = Mo._family_charts(c, m, 128, 48)[:2]
+    else:
+        r0m = np.sqrt(1 - abs(c) ** 2) * m
+        curve = Mo.CurveInput(np.array([0] * degree + [r0m]),
+                              np.array([m * c]), m)
+        bundle = Mo.construct_degree_d(curve, m, 128, 48)
+        charts = (bundle.chart_plus, bundle.chart_minus)
+    for chart in charts:
+        grid = chart.to_equator_grid()
+        vals, dvr, energy = _reference_grid_energy(
+            chart.values, chart.radii, chart.weights, chart.dvalues_dr)
+        assert grid.values.tobytes() == vals.tobytes()
+        assert (grid.dvalues_dr is None) == (dvr is None)
+        if dvr is not None:
+            assert np.ascontiguousarray(grid.dvalues_dr).tobytes() \
+                == dvr.tobytes()
+        assert S.omega_energy(grid) == energy
+
+
+def test_gauss_legendre_radial_is_cached_and_read_only():
+    r, w = S.gauss_legendre_radial(32)
+    again = S.gauss_legendre_radial(32)
+    assert again[0] is r and again[1] is w
+    assert not r.flags.writeable and not w.flags.writeable
+    assert abs(np.sum(w) - 1.0) < 1e-14
+    with pytest.raises(ValueError):
+        r[0] = 0.0
+
+
 def test_energy_degenerate_grid_error():
     with pytest.raises(DomainError):
         S.PolarMapGrid(np.array([0.5]), np.array([1.0]),

@@ -42,13 +42,18 @@ def family_samples(c, m, M=M):
 
 
 def d_u_direct(values, u, width=9):
-    """Per-ring Fornberg weights, evaluated afresh for every ring."""
+    """Per-ring Fornberg weights, evaluated afresh for every ring and
+    summed left to right over the window, as `_d_u` documents."""
     r = len(u)
-    out = np.empty_like(values, dtype=complex)
+    width = min(width, r)
+    out = np.empty_like(values)
     for i in range(r):
         lo = min(max(i - width // 2, 0), r - width)
         w = sp.fd_weights(u[lo:lo + width], float(u[i]), 1)
-        out[i] = np.tensordot(w, values[lo:lo + width], axes=(0, 0))
+        acc = w[0] * values[lo]
+        for j in range(1, width):
+            acc = acc + w[j] * values[lo + j]
+        out[i] = acc
     return out
 
 
@@ -67,13 +72,30 @@ def test_d_u_cached_stencil_matches_direct(u):
     assert not weights.flags.writeable and not starts.flags.writeable
 
 
+@pytest.mark.parametrize("n_rings", range(3, 13))
+def test_d_u_short_ladders_match_direct(n_rings):
+    u = np.cumsum(np.linspace(0.02, 0.05, n_rings))
+    vals = ladder_values(n_rings)
+    assert T._d_u(vals, u).tobytes() == d_u_direct(vals, u).tobytes()
+
+
+@pytest.mark.parametrize("u", [T.default_ring_u(),
+                               np.cumsum(np.linspace(0.01, 0.08, 60))],
+                         ids=["default", "nonuniform"])
+def test_d_u_real_is_real_part_of_complex(u):
+    vals = ladder_values(len(u))[..., 0]
+    real = T._d_u(np.ascontiguousarray(vals.real), u)
+    assert real.dtype == float
+    assert real.tobytes() == np.ascontiguousarray(T._d_u(vals, u).real).tobytes()
+
+
 def test_d_theta_matches_per_ring():
-    vals = ladder_values(7)
+    planes = np.ascontiguousarray(np.moveaxis(ladder_values(7), 2, 0))
     expected = np.stack([
-        np.stack([sp.theta_derivative(vals[i, :, c]) for c in (0, 1)], axis=1)
-        for i in range(7)])
-    assert np.ascontiguousarray(T._d_theta(vals)).tobytes() == expected.tobytes()
-    real = vals[..., 0].real
+        np.stack([sp.theta_derivative(planes[c, i]) for i in range(7)])
+        for c in (0, 1)])
+    assert T._d_theta(planes).tobytes() == expected.tobytes()
+    real = planes[0].real
     expected = np.stack([sp.theta_derivative(real[i]) for i in range(7)])
     assert np.ascontiguousarray(T._d_theta(real)).tobytes() == expected.tobytes()
 
@@ -162,6 +184,21 @@ def test_residual_needs_rings():
     short = T.TunnelMapSample(vp.rho, vp.ring_u[:2], vp.rings[:2], x, 1)
     with pytest.raises(DomainError):
         T.residual_H(short)
+
+
+def test_sample_planes_are_the_stored_form():
+    vp, _, x = family_samples(0.3 + 0.1j, 1.0, M=64)
+    assert vp.planes.shape == (2, vp.n_rings, 64)
+    assert vp.planes.flags.c_contiguous and not vp.planes.flags.writeable
+    assert np.shares_memory(vp.rings, vp.planes)
+    assert np.array_equal(vp.rings, np.moveaxis(vp.planes, 0, 2))
+    with pytest.raises(ValueError):
+        vp.planes[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        vp.rings[0, 0, 1] = 0.0
+    # a sample built from another's rings view keeps the same planes
+    again = T.TunnelMapSample(vp.rho, vp.ring_u, vp.rings, x, 1)
+    assert np.shares_memory(again.planes, vp.planes)
 
 
 def test_sample_ladders_are_read_only_and_derived_fields_cached():
