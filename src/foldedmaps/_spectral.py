@@ -24,25 +24,25 @@ def modes(m: int) -> np.ndarray:
 
 
 def coeffs(values: np.ndarray) -> np.ndarray:
-    return np.fft.fft(values, axis=0) / values.shape[0]
+    """Coefficients along the last (angle) axis."""
+    return np.fft.fft(values, axis=-1) / values.shape[-1]
 
 
 def from_coeffs(c: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(c, axis=0) * c.shape[0]
+    """Samples from coefficients along the last (angle) axis."""
+    return np.fft.ifft(c, axis=-1) * c.shape[-1]
 
 
-def theta_derivative(values: np.ndarray, order: int = 1,
-                     axis: int = 0) -> np.ndarray:
+def theta_derivative(values: np.ndarray, axis: int = 0) -> np.ndarray:
     """Spectral d/dtheta along `axis`; exact for band-limited samples.
 
     One FFT, one multiply and one inverse FFT; the 1/M of the coefficients
     and the M of the synthesis cancel, so neither is applied.
     """
     m = values.shape[axis]
-    n = modes(m)
-    mult = (1j * n) ** order
-    if order % 2 == 1 and m % 2 == 0:
-        # kill the unmatched Nyquist mode of odd derivatives
+    mult = 1j * modes(m)
+    if m % 2 == 0:
+        # kill the unmatched Nyquist mode of the odd derivative
         mult[m // 2] = 0.0
     shape = [1] * values.ndim
     shape[axis] = m
@@ -92,11 +92,11 @@ def check_resolution(values: np.ndarray, where: str = "samples") -> None:
             f"{CONFIG.tol.nyquist_fraction:.1e}")
 
 
-def band_limit(values: np.ndarray, fraction: float = 0.25) -> np.ndarray:
-    """Zero all modes with |n| above fraction * M (noise control)."""
+def band_limit(values: np.ndarray) -> np.ndarray:
+    """Zero all modes with |n| above M/4 (noise control)."""
     m = values.shape[0]
     c = coeffs(values)
-    c[np.abs(modes(m)) > fraction * m] = 0.0
+    c[np.abs(modes(m)) > 0.25 * m] = 0.0
     out = from_coeffs(c)
     return out.real if np.isrealobj(values) else out
 

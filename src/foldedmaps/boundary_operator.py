@@ -12,7 +12,6 @@ certificate are evaluated per sample and covector sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -347,11 +346,9 @@ def check_ellipticity(data: BOperatorData) -> EllipticityReport:
                              arg, mins)
 
 
-def symbol_homotopy_bt(a_samples: np.ndarray,
-                       t_grid: Optional[np.ndarray] = None) -> float:
+def symbol_homotopy_bt(a_samples: np.ndarray) -> float:
     """Certificate min |1 + a t - t| over the index homotopy rectangle."""
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 1.0, 101)
+    t_grid = np.linspace(0.0, 1.0, 101)
     a = np.asarray(a_samples, dtype=float)
     vals = np.abs(1.0 + np.outer(a, t_grid) - t_grid[None, :])
     return float(np.min(vals))

@@ -42,7 +42,6 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class GridDefaults:
-    boundary_samples: int = 512          # M, power of two
     radial_nodes: int = 128              # interior tensor grid, radius
 
 
@@ -88,9 +87,8 @@ def load_config(path: str) -> None:
     """Override fields from a JSON file {"tol": {...}, "grid": {...}}.
 
     Both sections are optional.  Integer fields take JSON integers, float
-    fields finite numbers; `radial_nodes` must be at least 2 and
-    `boundary_samples` a power of two in [64, 8192].  Anything else raises
-    ValueError and changes nothing.
+    fields finite numbers; `radial_nodes` must be at least 2.  Anything
+    else raises ValueError and changes nothing.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -106,8 +104,4 @@ def load_config(path: str) -> None:
     if grid.radial_nodes < 2:
         raise ValueError(
             f"grid.radial_nodes must be at least 2, got {grid.radial_nodes}")
-    m = grid.boundary_samples
-    if m & (m - 1) != 0 or not 64 <= m <= 8192:
-        raise ValueError("grid.boundary_samples must be a power of two in "
-                         f"[64, 8192], got {m}")
     CONFIG.tol, CONFIG.grid = tol, grid

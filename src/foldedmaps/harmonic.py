@@ -50,6 +50,8 @@ class Annulus:
 
 
 DomainKind = Union[Disk, ExteriorPunctured, Annulus]
+# one radius or an array of radii; None means the boundary radius
+Radii = Union[float, np.ndarray, None]
 
 
 # ---------------------------------------------------------------------------
@@ -120,38 +122,44 @@ class LaurentField:
     def m(self) -> int:
         return self.coeffs.shape[-1]
 
-    def _radial_factor(self, r: float) -> np.ndarray:
+    def _radii(self, r: Radii) -> np.ndarray:
+        """Radius or radii as a float array with a trailing angle axis."""
+        rr = self.boundary_radius() if r is None else r
+        return np.asarray(rr, dtype=float)[..., None]
+
+    def _radial_factor(self, r: Union[float, np.ndarray]) -> np.ndarray:
         n = np.abs(sp.modes(self.m))
         if isinstance(self.kind, Disk):
-            if r > self.kind.rho * (1 + 1e-12):
+            if np.any(r > self.kind.rho * (1 + 1e-12)):
                 raise DomainError("evaluation outside the disk")
             return (r / self.kind.rho) ** n
         if isinstance(self.kind, ExteriorPunctured):
-            if r < self.kind.rho * (1 - 1e-12):
+            if np.any(r < self.kind.rho * (1 - 1e-12)):
                 raise DomainError("evaluation inside the excluded disk")
             return (self.kind.rho / r) ** n
         raise DomainError("annulus fields are evaluated via trace()")
 
-    def trace(self, r: Optional[float] = None) -> np.ndarray:
-        """Field values on the uniform angular grid at radius r."""
+    def trace(self, r: Radii = None) -> np.ndarray:
+        """Field values on the uniform angular grid at radius r.
+
+        r may be an array of radii; the result has one row of M samples per
+        radius, each equal to the trace at that radius alone.
+        """
+        rr = self._radii(r)
         if isinstance(self.kind, Annulus):
-            rr = self.kind.rho_in if r is None else r
-            n = sp.modes(self.m).astype(float)
+            n = sp.modes(self.m)
             a, b = self.coeffs
-            fac_a = rr ** n
-            fac_b = rr ** (-n)
-            fac_a[sp.modes(self.m) == 0] = 1.0
-            fac_b[sp.modes(self.m) == 0] = np.log(rr)
+            fac_a = rr ** n.astype(float)
+            fac_b = rr ** (-n.astype(float))
+            fac_a[..., n == 0] = 1.0
+            fac_b[..., n == 0] = np.log(rr)
             return sp.from_coeffs(a * fac_a + b * fac_b)
-        rr = self.boundary_radius() if r is None else r
         return sp.from_coeffs(self.coeffs * self._radial_factor(rr))
 
     def boundary_radius(self) -> float:
-        if isinstance(self.kind, Disk):
-            return self.kind.rho
-        if isinstance(self.kind, ExteriorPunctured):
-            return self.kind.rho
-        return self.kind.rho_in
+        if isinstance(self.kind, Annulus):
+            return self.kind.rho_in
+        return self.kind.rho
 
     def eval_at(self, r: float, theta: np.ndarray) -> np.ndarray:
         """Direct evaluation at arbitrary angles (slow path, tests only)."""
@@ -161,8 +169,7 @@ class LaurentField:
         e = np.exp(1j * np.outer(theta, n))
         return e @ (self.coeffs * fac)
 
-    def check_support(self, holomorphic_side: bool = True,
-                      tol: float = 1e-10) -> bool:
+    def check_support(self) -> bool:
         """Coefficients vanish outside the allowed index range.
 
         Disk-type holomorphic fields live on n >= 0; exterior fields that
@@ -177,19 +184,20 @@ class LaurentField:
             bad = np.abs(self.coeffs[n > 0])
         else:
             return True
-        return bool(np.all(bad < tol * scale))
+        return bool(np.all(bad < 1e-10 * scale))
 
-    def multiplier_samples(self, r: Optional[float] = None) -> np.ndarray:
+    def multiplier_samples(self, r: Radii = None) -> np.ndarray:
         """exp(field) times the prescribed puncture winding factor.
 
         With pole order k this is exp(F(z)) (z/rho)^k evaluated on the
-        angular grid at radius r; the boundary modulus is exp(Re F).
+        angular grid at radius r (one row per radius when r is an array);
+        the boundary modulus is exp(Re F).
         """
-        rr = self.boundary_radius() if r is None else r
         rho = self.boundary_radius()
         k = self.puncture_pole_order
         th = sp.angles(self.m)
-        return np.exp(self.trace(rr)) * (rr / rho) ** k * np.exp(1j * k * th)
+        return (np.exp(self.trace(r)) * (self._radii(r) / rho) ** k
+                * np.exp(1j * k * th))
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,14 @@ from .harmonic import BoundaryLoopSamples, solve_f_degree_d
 from .sphere import (CharacteristicParam, FoldPoint, PolarMapGrid,
                      gauss_legendre_radial, grid_from_chart, hopf_project,
                      omega_energy, ProjectivePoint)
-from .tunneling import (ConjugacyReport, ConjugatePair, check_conjugate,
-                        derived_fields, make_conjugate_pair,
-                        sample_tunnel_map, tunneling_omega_energy)
+from .tunneling import (ConjugacyReport, ConjugatePair, TunnelMapSample,
+                        check_conjugate, derived_fields, make_conjugate_pair,
+                        puncture_parameters, sample_tunnel_map,
+                        tunneling_omega_energy)
 
 TWO_PI = 2.0 * np.pi
+# tag of the reports written by bundle_report and the CLI
+SCHEMA = "folded-maps/2"
 
 
 def det_omega_closed_form(x0: np.ndarray) -> np.ndarray:
@@ -37,6 +40,12 @@ def det_omega_closed_form(x0: np.ndarray) -> np.ndarray:
     tests against the pointwise evaluation.
     """
     return 2.0 * np.asarray(x0) / np.pi ** 2
+
+
+def _x0(vals: np.ndarray) -> np.ndarray:
+    """Transverse coordinate of upper-side ball-chart values (..., 2)."""
+    n2 = np.sum(np.abs(vals) ** 2, axis=-1)
+    return (1.0 - n2) / (1.0 + n2)
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +126,7 @@ class FoldedMapBundle:
     boundary_plus: np.ndarray        # (M, 2) fold values u_+|sigma
     boundary_minus: np.ndarray
     pair: ConjugatePair
-    tau_plus: np.ndarray
-    tau_minus: np.ndarray
     energies: dict[str, float]
-    tracking_point: Optional[FoldPoint] = None
     label: str = ""
 
 
@@ -187,59 +193,28 @@ def _family_charts(c: complex, m: complex, m_res: int, nr: int):
             ChartGrid(radii, weights, y_minus, dy_minus), r0, th)
 
 
+def _unit(w: np.ndarray) -> np.ndarray:
+    """Radial projection of C^2 values (..., 2) onto S^3."""
+    return w / np.linalg.norm(w, axis=-1, keepdims=True)
+
+
 def family_v_plus(c: complex, m: complex):
     def fn(z):
-        w = np.stack([m * z, np.full_like(z, m * c)], axis=-1)
-        return w / np.linalg.norm(w, axis=-1, keepdims=True)
+        return _unit(np.stack([m * z, np.full_like(z, m * c)], axis=-1))
     return fn
 
 
 def family_v_minus(c: complex, m: complex):
     def fn(z):
-        w = np.stack([m / z, m * c / z ** 2], axis=-1)
-        return w / np.linalg.norm(w, axis=-1, keepdims=True)
+        return _unit(np.stack([m / z, m * c / z ** 2], axis=-1))
     return fn
 
 
-def _tau_grids(chart_plus: ChartGrid, chart_minus: ChartGrid):
-    def x0_of(vals, side):
-        n2 = np.sum(np.abs(vals) ** 2, axis=2)
-        return side * (1.0 - n2) / (1.0 + n2)
-
-    tau_p = det_omega_closed_form(x0_of(chart_plus.values, +1))
-    tau_m = det_omega_closed_form(x0_of(chart_minus.values, -1))
-    return tau_p, tau_m
-
-
-def degree1_family(param: ModuliParam, m_res: int = 0,
-                   nr: int = 0) -> FoldedMapBundle:
-    """Sample the explicit degree-1 family at the given parameter.
-
-    All five closed-form components are sampled: the two hemisphere maps,
-    the conjugate tunneling pair, and the domain rescaling; the bundle
-    records the intersection tracking point used by the Hopf reduction.
-    """
-    c, m = param.c, param.m
-    if abs(c) > 0.99:
-        raise DomainError(
-            "|c| too close to 1; use compactification_sample for the limit")
-    m_res = m_res or CONFIG.grid.boundary_samples
-    nr = nr or CONFIG.grid.radial_nodes
-
-    chart_p, chart_m, r0, th = _family_charts(c, m, m_res, nr)
-    x = CharacteristicParam(m)
-
-    vp = sample_tunnel_map(family_v_plus(c, m), r0, m_res, x, 1)
-    vm = sample_tunnel_map(family_v_minus(c, m), r0, m_res, x, -1)
-    pair = make_conjugate_pair(vp, vm, x)
-
-    boundary_plus = np.stack(
-        [r0 * m * np.exp(1j * th), np.full(m_res, m * c)], axis=1)
-    boundary_minus = np.stack(
-        [r0 * m * np.exp(-1j * th), m * c * np.exp(-2j * th)], axis=1)
-
-    tau_p, tau_m = _tau_grids(chart_p, chart_m)
-
+def _assemble(chart_p: ChartGrid, chart_m: ChartGrid,
+              boundary_plus: np.ndarray, boundary_minus: np.ndarray,
+              vp: TunnelMapSample, vm: TunnelMapSample, psi_scale: float,
+              label: str) -> FoldedMapBundle:
+    """Pair the tunneling maps, integrate the four energies and bundle."""
     energies = {
         "E_u_plus": omega_energy(chart_p.to_equator_grid()),
         "E_u_minus": omega_energy(chart_m.to_equator_grid()),
@@ -247,12 +222,38 @@ def degree1_family(param: ModuliParam, m_res: int = 0,
         "E_v_minus": tunneling_omega_energy(vm),
     }
     return FoldedMapBundle(
-        m_res=m_res, x=x, degree=1, psi_scale=r0,
+        m_res=vp.m, x=vp.x, degree=vp.degree, psi_scale=psi_scale,
         chart_plus=chart_p, chart_minus=chart_m,
         boundary_plus=boundary_plus, boundary_minus=boundary_minus,
-        pair=pair, tau_plus=tau_p, tau_minus=tau_m, energies=energies,
-        tracking_point=FoldPoint(m * r0, m * c),
-        label=f"degree1(c={c!r}, m={m!r})")
+        pair=make_conjugate_pair(vp, vm, vp.x), energies=energies,
+        label=label)
+
+
+def degree1_family(param: ModuliParam, m_res: int,
+                   nr: int = 0) -> FoldedMapBundle:
+    """Sample the explicit degree-1 family at the given parameter.
+
+    All five closed-form components are sampled: the two hemisphere maps,
+    the conjugate tunneling pair, and the domain rescaling.
+    """
+    c, m = param.c, param.m
+    if abs(c) > 0.99:
+        raise DomainError(
+            "|c| too close to 1; use compactification_sample for the limit")
+    nr = nr or CONFIG.grid.radial_nodes
+
+    chart_p, chart_m, r0, th = _family_charts(c, m, m_res, nr)
+    x = CharacteristicParam(m)
+
+    vp = sample_tunnel_map(family_v_plus(c, m), r0, m_res, x, 1)
+    vm = sample_tunnel_map(family_v_minus(c, m), r0, m_res, x, -1)
+
+    boundary_plus = np.stack(
+        [r0 * m * np.exp(1j * th), np.full(m_res, m * c)], axis=1)
+    boundary_minus = np.stack(
+        [r0 * m * np.exp(-1j * th), m * c * np.exp(-2j * th)], axis=1)
+    return _assemble(chart_p, chart_m, boundary_plus, boundary_minus, vp, vm,
+                     r0, f"degree1(c={c!r}, m={m!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +266,19 @@ def verify_folded_holomorphic(bundle: FoldedMapBundle) -> VerificationReport:
     Reports the chart holomorphy residuals, the sign and boundary
     vanishing of the pullback of det(omega), the matching of hemisphere
     and tunneling boundary values, and the full conjugacy report of the
-    tunneling pair.
+    tunneling pair.  det(omega) is positive on the upper chart and
+    negative on the lower one, whose transverse coordinate is -x0.
     """
     holo_p = bundle.chart_plus.holomorphy_residual()
     holo_m = bundle.chart_minus.holomorphy_residual()
 
-    def x0_boundary(vals):
-        n2 = np.sum(np.abs(vals) ** 2, axis=1)
-        return (1.0 - n2) / (1.0 + n2)
-
     tau_b = float(max(
-        np.max(np.abs(det_omega_closed_form(x0_boundary(bundle.boundary_plus)))),
-        np.max(np.abs(det_omega_closed_form(x0_boundary(bundle.boundary_minus))))))
-    viol_p = float(max(0.0, -np.min(bundle.tau_plus)))
-    viol_m = float(max(0.0, np.max(bundle.tau_minus)))
+        np.max(np.abs(det_omega_closed_form(_x0(bundle.boundary_plus)))),
+        np.max(np.abs(det_omega_closed_form(_x0(bundle.boundary_minus))))))
+    tau_p = det_omega_closed_form(_x0(bundle.chart_plus.values))
+    tau_m = det_omega_closed_form(-_x0(bundle.chart_minus.values))
+    viol_p = float(max(0.0, -np.min(tau_p)))
+    viol_m = float(max(0.0, np.max(tau_m)))
     tau_sign = max(viol_p, viol_m)
 
     match_p = float(np.max(np.abs(bundle.boundary_plus
@@ -394,13 +394,13 @@ class CurveInput:
         }
 
 
-def find_circular_fold(curve: CurveInput, m_probe: int = 512) -> float:
+def find_circular_fold(curve: CurveInput) -> float:
     """Radius of the circular fold |w| = 1, certified to tolerance.
 
-    Bisection on the mean of |w| over circles; the Tier-1 contract then
-    requires |w| to equal one on the whole circle.
+    Bisection on the mean of |w| over circles of 512 samples; the Tier-1
+    contract then requires |w| to equal one on the whole circle.
     """
-    th = sp.angles(m_probe)
+    th = sp.angles(512)
 
     def mean_mod(rho):
         return float(np.mean(np.linalg.norm(
@@ -432,8 +432,8 @@ def find_circular_fold(curve: CurveInput, m_probe: int = 512) -> float:
     return rho
 
 
-def construct_degree_d(curve: CurveInput, m: Optional[complex] = None,
-                       m_res: int = 0, nr: int = 0) -> FoldedMapBundle:
+def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
+                       nr: int = 0) -> FoldedMapBundle:
     """Build a degree-d folded holomorphic map from a plane curve.
 
     The upper map is the curve inside its fold circle; the lower map is
@@ -441,8 +441,6 @@ def construct_degree_d(curve: CurveInput, m: Optional[complex] = None,
     object the harmonic engine solves, with the phase pinned through the
     marker on the limiting characteristic.
     """
-    m = curve.m if m is None else m
-    m_res = m_res or CONFIG.grid.boundary_samples
     nr = nr or CONFIG.grid.radial_nodes
     d = curve.degree
     if len(curve.p_coeffs) - 1 != d or (
@@ -456,11 +454,7 @@ def construct_degree_d(curve: CurveInput, m: Optional[complex] = None,
     x = CharacteristicParam(m)
 
     # tunneling map v_+ = projection of the curve on the exterior
-    def v_plus_fn(z):
-        w = curve.eval(z)
-        return w / np.linalg.norm(w, axis=-1, keepdims=True)
-
-    vp = sample_tunnel_map(v_plus_fn, rho, m_res, x, d)
+    vp = sample_tunnel_map(lambda z: _unit(curve.eval(z)), rho, m_res, x, d)
 
     # immersion floor for pi_F dw near the fold (cylinder-scaled
     # Fubini-Study derivative of the projected curve)
@@ -483,7 +477,6 @@ def construct_degree_d(curve: CurveInput, m: Optional[complex] = None,
     scale = max(float(np.max(np.abs(dv.alpha_t[0]))), 1e-3)
     if np.max(np.abs(data)) < 1e-9 * scale:
         data = np.zeros_like(data)
-    from .tunneling import puncture_parameters
     t_plus = float(puncture_parameters(vp, n_dirs=1)[0])
     marker = x.point(-2.0 * t_plus)
     f_log = solve_f_degree_d(BoundaryLoopSamples(data, rho), marker, x, d)
@@ -494,13 +487,12 @@ def construct_degree_d(curve: CurveInput, m: Optional[complex] = None,
     chart_p = ChartGrid(rho * radii, rho * weights, curve.eval(z_plus))
 
     zeta_r = radii / rho
-    y_minus = np.empty((nr, m_res, 2), dtype=complex)
-    for i, rr in enumerate(zeta_r):
-        zr = 1.0 / rr
-        mult = f_log.multiplier_samples(zr)          # at angles th of z
-        wz = curve.eval(zr * np.exp(1j * th))
-        vals = mult[:, None] * wz                    # u_-(z) in chart coords
-        y_minus[i] = vals[(-np.arange(m_res)) % m_res]  # reindex to zeta angle
+    zr = 1.0 / zeta_r
+    # u_-(z) = f(z) w(z) in chart coordinates on the circles |z| = zr,
+    # sampled at the angles of z and reindexed to the zeta angle
+    y_minus = (f_log.multiplier_samples(zr)[..., None]
+               * curve.eval(zr[:, None] * np.exp(1j * th)[None, :])
+               )[:, (-np.arange(m_res)) % m_res]
     over = np.max(np.sqrt(np.sum(np.abs(y_minus) ** 2, axis=2)))
     if over > 1.0 + 1e-8:
         raise VerificationError(
@@ -508,40 +500,17 @@ def construct_degree_d(curve: CurveInput, m: Optional[complex] = None,
             "the curve leaves the lower hemisphere")
     chart_m = ChartGrid(zeta_r, weights / rho, y_minus)
 
-    def multiplier_at(z):
-        # exp(F(z)) (z/rho)^pole from the exterior log coefficients
-        n = sp.modes(f_log.m)
-        vals = np.zeros_like(z, dtype=complex)
-        for k, cn in zip(n, f_log.coeffs):
-            if k <= 0 and abs(cn) > 1e-300:
-                vals = vals + cn * (rho / z) ** (-k)
-        return np.exp(vals) * (z / rho) ** f_log.puncture_pole_order
-
-    def v_minus_fn(z):
-        fw = multiplier_at(z)[..., None] * curve.eval(z)
-        return fw / np.linalg.norm(fw, axis=-1, keepdims=True)
-
-    vm = sample_tunnel_map(v_minus_fn, rho, m_res, x, -d)
-    pair = make_conjugate_pair(vp, vm, x)
+    # tunneling map v_- = projection of f w on the ladder of v_+
+    radii_v = vp.radii()
+    vm = TunnelMapSample(rho, vp.ring_u, _unit(
+        f_log.multiplier_samples(radii_v)[..., None]
+        * curve.eval(radii_v[:, None] * np.exp(1j * th)[None, :])), x, -d)
 
     boundary_plus = curve.eval(rho * np.exp(1j * th))
-    mult_sigma = f_log.multiplier_samples()
-    boundary_minus_z = mult_sigma[:, None] * boundary_plus
-    boundary_minus = boundary_minus_z  # parametrized by sigma angle theta
-
-    tau_p, tau_m = _tau_grids(chart_p, chart_m)
-    energies = {
-        "E_u_plus": omega_energy(chart_p.to_equator_grid()),
-        "E_u_minus": omega_energy(chart_m.to_equator_grid()),
-        "E_v_plus": tunneling_omega_energy(vp),
-        "E_v_minus": tunneling_omega_energy(vm),
-    }
-    return FoldedMapBundle(
-        m_res=m_res, x=x, degree=d, psi_scale=1.0,
-        chart_plus=chart_p, chart_minus=chart_m,
-        boundary_plus=boundary_plus, boundary_minus=boundary_minus,
-        pair=pair, tau_plus=tau_p, tau_minus=tau_m, energies=energies,
-        tracking_point=None, label=f"degree{d}(curve)")
+    # parametrized by the sigma angle theta
+    boundary_minus = f_log.multiplier_samples()[:, None] * boundary_plus
+    return _assemble(chart_p, chart_m, boundary_plus, boundary_minus, vp, vm,
+                     1.0, f"degree{d}(curve)")
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +537,7 @@ def bundle_report(bundle: FoldedMapBundle,
     conj = report.conjugacy
     operator, loop_data = report_sections(op_data, loops)
     return {
-        "schema": "folded-maps/1",
+        "schema": SCHEMA,
         "label": bundle.label,
         "degree": bundle.degree,
         "m": [bundle.x.m.real, bundle.x.m.imag],

@@ -103,13 +103,13 @@ def skew_endomorphism(g_mat: np.ndarray, omega_mat: np.ndarray,
                              Fplane=pairs[1][1], g=g_mat)
 
 
-def polarize(dec: SkewDecomposition, g_mat: np.ndarray | None = None) -> FoldedTripleEval:
+def polarize(dec: SkewDecomposition) -> FoldedTripleEval:
     """Unitary factor of the skew endomorphism as a compatible triple.
 
     J = A (A^T_g A)^{-1/2}; on an eigen-plane where omega carries a factor
     r this reproduces sign(r) times the unit-scale structure.
     """
-    g_mat = dec.g if g_mat is None else np.asarray(g_mat, dtype=float)
+    g_mat = dec.g
     gh, gih = _g_sqrt(g_mat)
     b = gh @ dec.A @ gih
     b = 0.5 * (b - b.T)
@@ -145,6 +145,8 @@ def _meridian_frame(p: FoldPoint, x0: float) -> tuple[Point4Sphere, list[np.ndar
     return q, [b_k, b_l, five(f), five(1j * f)]
 
 
+# background metric off the fold: I + _PERT_SCALE * x0 * _PERT
+_PERT_SCALE = 0.3
 _PERT = np.array([
     [0.21, -0.11, 0.05, 0.08],
     [-0.11, -0.17, 0.13, -0.02],
@@ -152,7 +154,7 @@ _PERT = np.array([
     [0.08, -0.02, 0.19, -0.23]])
 
 
-def _triple_at(p: FoldPoint, x0: float, perturb: float) -> FoldedTripleEval:
+def _triple_at(p: FoldPoint, x0: float) -> FoldedTripleEval:
     q, basis = _meridian_frame(p, x0)
     m = np.zeros((4, 4))
     for i in range(4):
@@ -160,7 +162,7 @@ def _triple_at(p: FoldPoint, x0: float, perturb: float) -> FoldedTripleEval:
             m[i, j] = omega_s4(q, basis[i], basis[j])
             m[j, i] = -m[i, j]
     om = m.T
-    g = np.eye(4) + perturb * x0 * _PERT
+    g = np.eye(4) + _PERT_SCALE * x0 * _PERT
     dec = skew_endomorphism(g, om)
     return polarize(dec)
 
@@ -180,25 +182,22 @@ class FoldLimitReport:
                 and self.rate_fit_plus >= 0.9 and self.rate_fit_minus >= 0.9)
 
 
-def fold_limit_check(p: FoldPoint, distances: np.ndarray | None = None,
-                     perturb: float = 0.3) -> FoldLimitReport:
+def fold_limit_check(p: FoldPoint) -> FoldLimitReport:
     """One-sided limits of the polarized triple along the meridian through p.
 
     Uses the exact folded form in a transported frame and a background
     metric that is adapted on the fold but generic away from it, so the
-    polarized structure approaches its one-sided limits at rate O(x0).
+    polarized structure approaches its one-sided limits at rate O(x0),
+    fitted over the distances 1e-7 * 4^k, k = 0..7.
     """
-    if distances is None:
-        distances = 1e-7 * 4.0 ** np.arange(8)
-    distances = np.sort(np.asarray(distances, dtype=float))
-
-    j_plus = _triple_at(p, distances[0], perturb).J
-    j_minus = _triple_at(p, -distances[0], perturb).J
+    distances = 1e-7 * 4.0 ** np.arange(8)
+    j_plus = _triple_at(p, distances[0]).J
+    j_minus = _triple_at(p, -distances[0]).J
 
     def rate(sign: float, j_lim: np.ndarray) -> float:
         errs = []
         for d in distances[1:]:
-            jj = _triple_at(p, sign * d, perturb).J
+            jj = _triple_at(p, sign * d).J
             errs.append(np.max(np.abs(jj - j_lim)))
         errs = np.asarray(errs)
         good = errs > 1e-13

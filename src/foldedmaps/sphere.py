@@ -399,11 +399,11 @@ def hopf_project(p: FoldPoint) -> ProjectivePoint:
 
 
 @functools.lru_cache(maxsize=16)
-def gauss_legendre_radial(nr: int, r_max: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, r_max], read-only and cached."""
+def gauss_legendre_radial(nr: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], read-only and cached."""
     nodes, weights = np.polynomial.legendre.leggauss(nr)
-    r = 0.5 * r_max * (nodes + 1.0)
-    w = 0.5 * r_max * weights
+    r = 0.5 * (nodes + 1.0)
+    w = 0.5 * weights
     r.setflags(write=False)
     w.setflags(write=False)
     return r, w

@@ -137,6 +137,8 @@ def _ladder_stencil(nodes: tuple[float, ...],
 # rings per block of interior d/du rows: at M = 2048 one block (8 output
 # rows and 16 input rows of 2M floats) stays in L2
 _D_U_BLOCK = 8
+# d/du stencil width: 9 rings, eighth order on a uniform ladder
+_D_U_WIDTH = 9
 
 
 def _stencil_rows(out: np.ndarray, w: np.ndarray, x: np.ndarray, lo: int,
@@ -153,7 +155,7 @@ def _stencil_rows(out: np.ndarray, w: np.ndarray, x: np.ndarray, lo: int,
         out += tmp
 
 
-def _d_u(values: np.ndarray, u: np.ndarray, width: int = 9) -> np.ndarray:
+def _d_u(values: np.ndarray, u: np.ndarray) -> np.ndarray:
     """d/du along axis 0 of ladder data (R, ...), windowed Fornberg stencils.
 
     Each row is the left-to-right sum of its stencil terms, taken on the
@@ -162,7 +164,7 @@ def _d_u(values: np.ndarray, u: np.ndarray, width: int = 9) -> np.ndarray:
     go in blocks of _D_U_BLOCK rings.  Real data gives real output.
     """
     r = values.shape[0]
-    width = min(width, r)
+    width = min(_D_U_WIDTH, r)
     weights, _ = _ladder_stencil(tuple(u.tolist()), width)
     x = np.ascontiguousarray(values).reshape(r, -1)
     if np.iscomplexobj(x):
@@ -276,8 +278,7 @@ class EnergyProfile:
         return float(self.e_r[0])
 
 
-def asymptotic_energy(v: TunnelMapSample, delta: float,
-                      r: Optional[float] = None) -> EnergyProfile:
+def asymptotic_energy(v: TunnelMapSample, delta: float) -> EnergyProfile:
     """Exponentially weighted tail energy on the cylindrical end.
 
     Integrand (in cylinder coordinates s, t with unit circle period):
@@ -312,9 +313,6 @@ def asymptotic_energy(v: TunnelMapSample, delta: float,
     else:
         slope = -np.inf
     divergent = slope >= 0 and float(np.max(tail)) > 1e-12
-    if r is not None:
-        keep = v.radii() >= r * (1 - 1e-12)
-        return EnergyProfile(v.radii()[keep], e_r[keep], slope, delta, divergent)
     return EnergyProfile(v.radii(), e_r, slope, delta, divergent)
 
 
@@ -368,16 +366,15 @@ class ConjugatePair:
     """Conjugate tunneling maps with their transition data.
 
     g_boundary are samples of the circle-valued transition function on
-    sigma (values in [0,1) mod 1), f_scale the conformal factor relating
-    the two pullbacks of omega (identically one in the circle-invariant
-    theory).
+    sigma (values in [0,1) mod 1).  The conformal factor relating the two
+    pullbacks of omega is identically one in the circle-invariant theory,
+    so it is not stored.
     """
 
     v_plus: TunnelMapSample
     v_minus: TunnelMapSample
     x: CharacteristicParam
     g_boundary: np.ndarray
-    f_scale: float = 1.0
 
 
 @dataclass
@@ -417,7 +414,7 @@ def _omega_density(v: TunnelMapSample) -> np.ndarray:
     return _d_u(d.alpha_t, v.ring_u) - _d_theta(d.alpha_u)
 
 
-def check_conjugate(pair: ConjugatePair, n_dirs: int = 16) -> ConjugacyReport:
+def check_conjugate(pair: ConjugatePair) -> ConjugacyReport:
     """Residuals of the three conjugacy conditions plus the two proxies.
 
     Reports the conformal-factor relation between the omega pullbacks, the
@@ -432,15 +429,15 @@ def check_conjugate(pair: ConjugatePair, n_dirs: int = 16) -> ConjugacyReport:
 
     dens_p = _omega_density(vp)
     dens_m = _omega_density(vm)
-    omega_res = float(np.max(np.abs(dens_p - pair.f_scale * dens_m)))
+    omega_res = float(np.max(np.abs(dens_p - dens_m)))
 
     dp = derived_fields(vp)
     dm = derived_fields(vm)
     lam_sigma = -(dp.alpha_u[0] + dm.alpha_u[0])
     lambda_res = float(np.max(np.abs(lam_sigma)))
 
-    tp = puncture_parameters(vp, n_dirs)
-    tm = puncture_parameters(vm, n_dirs)
+    tp = puncture_parameters(vp)
+    tm = puncture_parameters(vm)
     marker = float(np.max(np.abs(np.exp(2j * np.pi * (tp + tm)) - 1.0)))
 
     hp = hopf_ratio(vp)
@@ -489,13 +486,9 @@ def conjugate_partner(v_plus: TunnelMapSample,
     t_plus = float(puncture_parameters(v_plus, n_dirs=1)[0])
     const = -2.0 * t_plus
     th = sp.angles(v_plus.m)
-    radii = v_plus.radii()
     winding = -2 * v_plus.degree
 
-    if g0 is None:
-        g_single = 0.0
-    else:
-        g_single = np.stack([np.real(g0.trace(r)) for r in radii])
+    g_single = 0.0 if g0 is None else np.real(g0.trace(v_plus.radii()))
     g_tot = winding * th / TWO_PI + g_single + const
     # g_tot is (M,) untwisted or (R, M) twisted; either broadcasts over rings
     planes = np.exp(2j * np.pi * g_tot) * v_plus.planes

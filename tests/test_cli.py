@@ -83,7 +83,7 @@ def test_degree1_pass(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["pass"] is True
     assert rep["certificate"]["reducedIndex"] == 3
-    assert rep["schema"] == "folded-maps/1"
+    assert rep["schema"] == "folded-maps/2"
 
 
 def test_degree1_input_error(tmp_path):
@@ -235,6 +235,28 @@ MALFORMED_REPORTS = {
 }
 
 
+def test_report_has_no_gap_profile_copy(report64):
+    assert "gap_profile" not in report64
+    assert report64["schema"] == "folded-maps/2"
+
+
+def test_certificate_reads_schema_1_reports(tmp_path, report64):
+    # earlier reports carry the /1 tag and a gap_profile copy of the gap
+    old = copy.deepcopy(report64)
+    old["schema"] = "folded-maps/1"
+    old["gap_profile"] = old["boundary_operator"]["a"]
+    certs = []
+    for name, rep in (("new", report64), ("old", old)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(rep))
+        out = tmp_path / f"{name}-cert.json"
+        assert run(["certificate", "--bundle", str(path),
+                    "--out", str(out)]) == cli.EXIT_PASS
+        certs.append(out.read_text())
+    assert certs[0] == certs[1]
+    assert json.loads(certs[1])["schema"] == "folded-maps/2"
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
 def test_certificate_rejects_malformed_report(tmp_path, capsys, report64,
                                               case):
@@ -341,10 +363,25 @@ def test_malformed_config_is_an_input_error(tmp_path, capsys, text):
 def test_config_accepts_checked_fields(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"tol": {"delta_max": 6, "abs_tol": 1e-9}, '
-                   '"grid": {"radial_nodes": 32, "boundary_samples": 64}}')
+                   '"grid": {"radial_nodes": 32}}')
     assert run(["--config", str(cfg), "degree1", "--c", "0.3",
                 "--resolution", "64", "--out", str(tmp_path / "r.json")]) \
         == cli.EXIT_PASS
+
+
+def test_config_boundary_samples_is_unknown(tmp_path, capsys):
+    # the sample count is each command's --resolution, not a config field
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"grid": {"boundary_samples": 64}}')
+    for argv in (["degree1", "--c", "0.3"], ["compactify", "--steps", "2"]):
+        assert run(["--config", str(cfg)] + argv + [
+            "--resolution", "64", "--out", str(tmp_path / "r.out")]) \
+            == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: unknown config field "
+                              "grid.boundary_samples")
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.out").exists()
 
 
 def test_config_integer_fields_reject_bool(tmp_path):

@@ -303,3 +303,41 @@ def test_field_support_invariants():
     g = H.solve_dirichlet(H.BoundaryLoopSamples(np.exp(-3j * TH)),
                           H.ExteriorPunctured(1.0))
     assert g.check_support()
+
+
+# ---------------------------------------------------------------------------
+# evaluation on radius arrays
+
+
+def _decaying_coeffs(scale):
+    c = RNG.normal(size=M) + 1j * RNG.normal(size=M)
+    return c * np.exp(-scale * np.abs(sp.modes(M)))
+
+
+@pytest.mark.parametrize("kind, radii", [
+    (H.Disk(1.5), np.linspace(0.05, 1.5, 41)),
+    (H.ExteriorPunctured(1.3), 1.3 * np.exp(np.arange(0.0, 8.02, 0.04))),
+    (H.Annulus(0.5, 2.0), np.linspace(0.5, 2.0, 41)),
+])
+@pytest.mark.parametrize("pole", [0, -2, -6])
+def test_radius_array_matches_per_radius_stack(kind, radii, pole):
+    # the 0.8 decay keeps r^n and r^-n bounded on the annulus
+    c = _decaying_coeffs(0.8)
+    coeffs = np.stack([c, np.conj(c)]) if isinstance(kind, H.Annulus) else c
+    f = H.LaurentField(kind, coeffs, pole)
+    trace = f.trace(radii)
+    mult = f.multiplier_samples(radii)
+    assert trace.shape == mult.shape == (len(radii), M)
+    assert trace.tobytes() == np.stack([f.trace(r) for r in radii]).tobytes()
+    assert mult.tobytes() == \
+        np.stack([f.multiplier_samples(r) for r in radii]).tobytes()
+    assert f.trace().tobytes() == f.trace(f.boundary_radius()).tobytes()
+
+
+def test_radius_array_domain_checks():
+    f = H.LaurentField(H.Disk(1.0), _decaying_coeffs(0.5))
+    with pytest.raises(DomainError):
+        f.trace(np.array([0.5, 1.5]))
+    g = H.LaurentField(H.ExteriorPunctured(1.0), _decaying_coeffs(0.5))
+    with pytest.raises(DomainError):
+        g.multiplier_samples(np.array([2.0, 0.5]))

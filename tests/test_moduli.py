@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from foldedmaps import _spectral as sp
+from foldedmaps import harmonic as H
 from foldedmaps import moduli as Mo
 from foldedmaps import sphere as S
 from foldedmaps import tunneling as T
@@ -122,6 +124,16 @@ def test_verify_reports_boundary_noise_linearly():
     b.boundary_plus = b.boundary_plus + noise * pert / np.max(np.abs(pert))
     rep = Mo.verify_folded_holomorphic(b)
     assert 0.1 * noise < rep.boundary_match_plus < 10 * noise
+
+
+@pytest.mark.parametrize("chart", ["chart_plus", "chart_minus"])
+def test_verify_recomputes_det_omega_sign_from_charts(chart):
+    b = small_family(0.45, 1.0)
+    assert Mo.verify_folded_holomorphic(b).tau_sign_violation == 0.0
+    # a chart value outside the unit ball puts it on the wrong side of
+    # the fold, where det(omega) has the wrong sign
+    getattr(b, chart).values[3, 5] = [1.5, 0.5]
+    assert Mo.verify_folded_holomorphic(b).tau_sign_violation > 0.0
 
 
 def test_gauge_rotation_invariance():
@@ -258,6 +270,44 @@ def test_degree2_partner_agrees_with_curve_route():
     assert np.max(np.abs(built.rings - b.pair.v_minus.rings)) < 1e-9
 
 
+def _direct_sum_v_minus(curve, bundle):
+    # the lower tunneling map through a direct Laurent sum of the
+    # normalization function on the complex ladder points
+    vp, x, d = bundle.pair.v_plus, bundle.x, bundle.degree
+    rho = vp.rho
+    dv = T.derived_fields(vp)
+    data = -dv.alpha_u[0]
+    data = data - np.mean(data)
+    if np.max(np.abs(data)) < 1e-9 * max(np.max(np.abs(dv.alpha_t[0])), 1e-3):
+        data = np.zeros_like(data)
+    marker = x.point(-2.0 * T.puncture_parameters(vp, n_dirs=1)[0])
+    f_log = H.solve_f_degree_d(H.BoundaryLoopSamples(data, rho), marker, x, d)
+
+    def multiplier_at(z):
+        vals = np.zeros_like(z, dtype=complex)
+        for k, cn in zip(sp.modes(f_log.m), f_log.coeffs):
+            if k <= 0 and abs(cn) > 1e-300:
+                vals = vals + cn * (rho / z) ** (-k)
+        return np.exp(vals) * (z / rho) ** f_log.puncture_pole_order
+
+    def v_minus_fn(z):
+        fw = multiplier_at(z)[..., None] * curve.eval(z)
+        return fw / np.linalg.norm(fw, axis=-1, keepdims=True)
+
+    return T.sample_tunnel_map(v_minus_fn, rho, vp.m, x, -d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_v_minus_matches_direct_laurent_sum(d):
+    m = np.exp(0.9j * d)
+    c = 0.4 * np.exp(1.3j * d)
+    curve = Mo.CurveInput(np.r_[np.zeros(d), np.sqrt(1 - abs(c) ** 2) * m],
+                          np.array([m * c]), m)
+    bundle = Mo.construct_degree_d(curve, m, M_RES, NR)
+    direct = _direct_sum_v_minus(curve, bundle)
+    assert np.max(np.abs(bundle.pair.v_minus.rings - direct.rings)) < 1e-13
+
+
 def _reference_fold_radius(curve, m_probe=512):
     # the full 200-step bisection the early stop must reproduce exactly
     th = 2 * np.pi * np.arange(m_probe) / m_probe
@@ -303,7 +353,7 @@ def test_degenerate_f_derivative_rejected():
 
 def test_bundle_report_schema():
     rep = Mo.bundle_report(small_family(0.4, 1.0))
-    assert rep["schema"] == "folded-maps/1"
+    assert rep["schema"] == "folded-maps/2"
     assert rep["residuals"]["max_residual"] < 1e-8
     assert rep["boundary_operator"] is not None
     assert len(rep["boundary_operator"]["a"]) == M_RES
