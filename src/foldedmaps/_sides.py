@@ -1,0 +1,69 @@
+"""The two sides of a folded map, computed on two threads.
+
+The plus and minus sides (the hemisphere maps u_+/u_- and the tunneling
+maps v_+/v_-) are independent until the conjugacy step couples them on
+the fold.  `both` computes one side on a pooled thread while the caller
+computes the other; numpy's ufuncs and FFTs release the GIL, so the two
+halves overlap.  The pool has exactly one thread because a folded map
+has exactly two sides; it is created on first use, never at import.
+Both halves read the one process-wide `config.CONFIG`, which must not
+change while a call runs.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Optional, TypeVar
+
+S = TypeVar("S")
+R = TypeVar("R")
+
+_lock = threading.Lock()
+_pool: Optional[ThreadPoolExecutor] = None
+_local = threading.local()        # .pooled is True on the pool's thread
+
+
+def _mark_pooled() -> None:
+    _local.pooled = True
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the executor but not its thread
+    global _lock, _pool
+    _lock = threading.Lock()
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    with _lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=1,
+                                       thread_name_prefix="foldedmaps-side",
+                                       initializer=_mark_pooled)
+        return _pool
+
+
+def both(f: Callable[[S], R], plus: S, minus: S) -> tuple[R, R]:
+    """(f(plus), f(minus)), with f(minus) on the pooled thread.
+
+    Returns or raises only after both halves have finished.  When both
+    raise, the error of f(plus) wins, as it would in a sequential run.  A
+    call made on the pooled thread itself runs both halves inline, so
+    nested calls cannot deadlock.
+    """
+    if getattr(_local, "pooled", False):
+        return f(plus), f(minus)
+    future = _executor().submit(f, minus)
+    try:
+        first = f(plus)
+    except BaseException:
+        future.exception()           # wait for the other half, then drop it
+        raise
+    return first, future.result()

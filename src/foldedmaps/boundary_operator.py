@@ -128,7 +128,7 @@ def _f_values_from_pair(pair: ConjugatePair) -> tuple[np.ndarray, np.ndarray, np
     """
     dp = derived_fields(pair.v_plus)
     dm = derived_fields(pair.v_minus)
-    w_theta = dp.chi_t[0]
+    w_theta = dp.chi_sigma
     lam_t = -(dp.alpha_u[0] + dm.alpha_u[0])      # lambda(d_theta)
     lam_u = dp.alpha_t[0] + dm.alpha_t[0]         # lambda(d_u)
     lam_j = -lam_u                                # lambda(j d_theta)
@@ -161,7 +161,7 @@ def boperator_data_from_bundle(bundle) -> BOperatorData:
 
     try:
         f_a, f_b, w_theta = _f_values_from_pair(pair)
-        af = dm.chi_t[0] / w_theta
+        af = dm.chi_sigma / w_theta
         degenerate = False
     except NonImmersedBoundaryError:
         af = np.exp(4j * np.pi * pair.g_boundary)
@@ -393,15 +393,15 @@ def boundary_condition_loops(bundle) -> tuple[TotallyRealLoop, TotallyRealLoop]:
     dp = derived_fields(pair.v_plus)
     dm = derived_fields(pair.v_minus)
 
-    chi_p = dp.chi_t[0]
+    chi_p = dp.chi_sigma
     if np.min(np.abs(chi_p)) < CONFIG.tol.immersion_floor:
         dir_p = np.exp(1j * bundle.degree * th)
         dir_m = np.exp(1j * bundle.degree * th)
     else:
         dir_p = chi_p / np.abs(chi_p)
-        af_phase = dm.chi_t[0] / chi_p
+        af_phase = dm.chi_sigma / chi_p
         af_phase = af_phase / np.abs(af_phase)
-        dir_m = np.conj(af_phase) * dm.chi_t[0] / np.abs(dm.chi_t[0])
+        dir_m = np.conj(af_phase) * dm.chi_sigma / np.abs(dm.chi_sigma)
     return (TotallyRealLoop.from_directions(dir_p),
             TotallyRealLoop.from_directions(dir_m))
 

@@ -216,7 +216,7 @@ def main(argv=None) -> int:
     except (InputError, NonImmersedBoundaryError, DomainError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FoldedMapError as exc:
+    except (FoldedMapError, np.linalg.LinAlgError) as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     finally:

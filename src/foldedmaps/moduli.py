@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import _spectral as sp
+from ._sides import both
 from .config import CONFIG
 from .errors import (DomainError, InputError, NonImmersedBoundaryError,
                      TierViolationError, VerificationError)
@@ -24,9 +25,8 @@ from .sphere import (CharacteristicParam, FoldPoint, PolarMapGrid,
                      gauss_legendre_radial, grid_from_chart, hopf_project,
                      omega_energy, ProjectivePoint)
 from .tunneling import (ConjugacyReport, ConjugatePair, TunnelMapSample,
-                        check_conjugate, derived_fields, make_conjugate_pair,
-                        puncture_parameters, sample_tunnel_map,
-                        tunneling_omega_energy)
+                        check_conjugate, fold_data, make_conjugate_pair,
+                        sample_tunnel_map, tunneling_omega_energy)
 
 TWO_PI = 2.0 * np.pi
 # tag of the reports written by bundle_report and the CLI
@@ -193,20 +193,39 @@ def _family_charts(c: complex, m: complex, m_res: int, nr: int):
             ChartGrid(radii, weights, y_minus, dy_minus), r0, th)
 
 
-def _unit(w: np.ndarray) -> np.ndarray:
-    """Radial projection of C^2 values (..., 2) onto S^3."""
-    return w / np.linalg.norm(w, axis=-1, keepdims=True)
+def _unit(planes: np.ndarray) -> np.ndarray:
+    """Radial projection onto S^3 of C^2 values in (2, ...) planes, in place.
+
+    Returns the (..., 2) view of the planes, which a tunneling sample
+    keeps without a copy.  The norm is the expression of np.linalg.norm
+    along the component axis, so the values equal
+    w / np.linalg.norm(w, axis=-1, keepdims=True) bit for bit.
+    """
+    sq = np.conj(planes[0])
+    sq *= planes[0]
+    norm = sq.real.copy()
+    np.conj(planes[1], out=sq)
+    sq *= planes[1]
+    norm += sq.real
+    planes /= np.sqrt(norm, out=norm)
+    return np.moveaxis(planes, 0, -1)
 
 
 def family_v_plus(c: complex, m: complex):
     def fn(z):
-        return _unit(np.stack([m * z, np.full_like(z, m * c)], axis=-1))
+        planes = np.empty((2,) + z.shape, complex)
+        np.multiply(m, z, out=planes[0])
+        planes[1] = m * c
+        return _unit(planes)
     return fn
 
 
 def family_v_minus(c: complex, m: complex):
     def fn(z):
-        return _unit(np.stack([m / z, m * c / z ** 2], axis=-1))
+        planes = np.empty((2,) + z.shape, complex)
+        np.divide(m, z, out=planes[0])
+        np.divide(m * c, z ** 2, out=planes[1])
+        return _unit(planes)
     return fn
 
 
@@ -215,12 +234,14 @@ def _assemble(chart_p: ChartGrid, chart_m: ChartGrid,
               vp: TunnelMapSample, vm: TunnelMapSample, psi_scale: float,
               label: str) -> FoldedMapBundle:
     """Pair the tunneling maps, integrate the four energies and bundle."""
-    energies = {
-        "E_u_plus": omega_energy(chart_p.to_equator_grid()),
-        "E_u_minus": omega_energy(chart_m.to_equator_grid()),
-        "E_v_plus": tunneling_omega_energy(vp),
-        "E_v_minus": tunneling_omega_energy(vm),
-    }
+    def side_energies(side):
+        chart, v = side
+        return omega_energy(chart.to_equator_grid()), tunneling_omega_energy(v)
+
+    (e_up, e_vp), (e_um, e_vm) = both(side_energies, (chart_p, vp),
+                                      (chart_m, vm))
+    energies = {"E_u_plus": e_up, "E_u_minus": e_um,
+                "E_v_plus": e_vp, "E_v_minus": e_vm}
     return FoldedMapBundle(
         m_res=vp.m, x=vp.x, degree=vp.degree, psi_scale=psi_scale,
         chart_plus=chart_p, chart_minus=chart_m,
@@ -245,8 +266,9 @@ def degree1_family(param: ModuliParam, m_res: int,
     chart_p, chart_m, r0, th = _family_charts(c, m, m_res, nr)
     x = CharacteristicParam(m)
 
-    vp = sample_tunnel_map(family_v_plus(c, m), r0, m_res, x, 1)
-    vm = sample_tunnel_map(family_v_minus(c, m), r0, m_res, x, -1)
+    vp, vm = both(lambda side: sample_tunnel_map(*side),
+                  (family_v_plus(c, m), r0, m_res, x, 1),
+                  (family_v_minus(c, m), r0, m_res, x, -1))
 
     boundary_plus = np.stack(
         [r0 * m * np.exp(1j * th), np.full(m_res, m * c)], axis=1)
@@ -269,8 +291,8 @@ def verify_folded_holomorphic(bundle: FoldedMapBundle) -> VerificationReport:
     tunneling pair.  det(omega) is positive on the upper chart and
     negative on the lower one, whose transverse coordinate is -x0.
     """
-    holo_p = bundle.chart_plus.holomorphy_residual()
-    holo_m = bundle.chart_minus.holomorphy_residual()
+    holo_p, holo_m = both(ChartGrid.holomorphy_residual, bundle.chart_plus,
+                          bundle.chart_minus)
 
     tau_b = float(max(
         np.max(np.abs(det_omega_closed_form(_x0(bundle.boundary_plus)))),
@@ -364,12 +386,16 @@ class CurveInput:
         dq = len(self.q_coeffs) - 1 if len(self.q_coeffs) else -1
         return max(dp, dq)
 
-    def eval(self, z: np.ndarray) -> np.ndarray:
+    def components(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The two components p(z), q(z) of the curve."""
         p = np.polynomial.polynomial.polyval(z, self.p_coeffs) \
             if len(self.p_coeffs) else np.zeros_like(z)
         q = np.polynomial.polynomial.polyval(z, self.q_coeffs) \
             if len(self.q_coeffs) else np.zeros_like(z)
-        return np.stack([p, q], axis=-1)
+        return p, q
+
+    def eval(self, z: np.ndarray) -> np.ndarray:
+        return np.stack(self.components(z), axis=-1)
 
     def eval_derivative(self, z: np.ndarray) -> np.ndarray:
         dp = np.polynomial.polynomial.polyder(self.p_coeffs) \
@@ -454,7 +480,8 @@ def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
     x = CharacteristicParam(m)
 
     # tunneling map v_+ = projection of the curve on the exterior
-    vp = sample_tunnel_map(lambda z: _unit(curve.eval(z)), rho, m_res, x, d)
+    vp = sample_tunnel_map(lambda z: _unit(np.stack(curve.components(z))),
+                           rho, m_res, x, d)
 
     # immersion floor for pi_F dw near the fold (cylinder-scaled
     # Fubini-Study derivative of the projected curve)
@@ -470,16 +497,13 @@ def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
         raise NonImmersedBoundaryError(
             f"pi_F dw degenerates near the fold (min {np.min(fs):.3e})")
 
-    # normalization multiplier from the harmonic engine
-    dv = derived_fields(vp)
-    data = -dv.alpha_u[0]              # (v_+^* alpha o j)(d_theta) on sigma
-    data = data - np.mean(data)
-    scale = max(float(np.max(np.abs(dv.alpha_t[0]))), 1e-3)
-    if np.max(np.abs(data)) < 1e-9 * scale:
-        data = np.zeros_like(data)
-    t_plus = float(puncture_parameters(vp, n_dirs=1)[0])
-    marker = x.point(-2.0 * t_plus)
-    f_log = solve_f_degree_d(BoundaryLoopSamples(data, rho), marker, x, d)
+    # normalization multiplier from the harmonic engine; the data is
+    # (v_+^* alpha o j)(d_theta) = -v_+^* alpha(d_u) on sigma
+    data, t_marker = fold_data(vp, -1.0)
+    if data is None:
+        data = np.zeros(m_res)
+    f_log = solve_f_degree_d(BoundaryLoopSamples(data, rho),
+                             x.point(t_marker), x, d)
 
     # grids: upper side on the fold disk, lower side in zeta = 1/z
     radii, weights = gauss_legendre_radial(nr)
@@ -502,9 +526,10 @@ def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
 
     # tunneling map v_- = projection of f w on the ladder of v_+
     radii_v = vp.radii()
-    vm = TunnelMapSample(rho, vp.ring_u, _unit(
-        f_log.multiplier_samples(radii_v)[..., None]
-        * curve.eval(radii_v[:, None] * np.exp(1j * th)[None, :])), x, -d)
+    fw = np.stack(curve.components(
+        radii_v[:, None] * np.exp(1j * th)[None, :]))
+    np.multiply(f_log.multiplier_samples(radii_v), fw, out=fw)
+    vm = TunnelMapSample(rho, vp.ring_u, _unit(fw), x, -d)
 
     boundary_plus = curve.eval(rho * np.exp(1j * th))
     # parametrized by the sigma angle theta

@@ -10,6 +10,7 @@ by the asymptotic energy is (u, theta) / (2 pi).
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -17,6 +18,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from . import _spectral as sp
+from ._sides import both
 from .config import CONFIG
 from .errors import (DomainError, GapSignError, NonTransverseCrossingError,
                      VerificationError)
@@ -134,11 +136,17 @@ def _ladder_stencil(nodes: tuple[float, ...],
     return weights, starts
 
 
-# rings per block of interior d/du rows: at M = 2048 one block (8 output
-# rows and 16 input rows of 2M floats) stays in L2
-_D_U_BLOCK = 8
+# bytes of ladder rows per ring block: 8 complex rings at M = 2048, so one
+# block's input and output rows stay in L2, and more rings at smaller M,
+# where Python-level block calls would dominate
+_BLOCK_BYTES = 8 * 2048 * 16
 # d/du stencil width: 9 rings, eighth order on a uniform ladder
 _D_U_WIDTH = 9
+
+
+def _block_rings(row_bytes: int) -> int:
+    """Rings per block of a ring-block pass over rows of row_bytes."""
+    return max(8, _BLOCK_BYTES // row_bytes)
 
 
 def _stencil_rows(out: np.ndarray, w: np.ndarray, x: np.ndarray, lo: int,
@@ -155,28 +163,54 @@ def _stencil_rows(out: np.ndarray, w: np.ndarray, x: np.ndarray, lo: int,
         out += tmp
 
 
+def _d_u_rows(out: np.ndarray, weights: np.ndarray, x: np.ndarray, i0: int,
+              i1: int) -> None:
+    """Rows [i0, i1) of d/du of the float ladder x (R, n) into out.
+
+    The edge rows at either end share one window; the rows between have
+    centred windows.
+    """
+    r, width = x.shape[0], weights.shape[1]
+    half = width // 2
+    hi = r - width + half + 1          # rows [half, hi) have centred windows
+    a = min(max(i0, half), i1)
+    b = min(max(i0, hi), i1)
+    if a > i0:
+        _stencil_rows(out[:a - i0], weights[i0:a], x, 0, True)
+    if b > a:
+        _stencil_rows(out[a - i0:b - i0], weights[a:b], x, a - half, False)
+    if i1 > b:
+        _stencil_rows(out[b - i0:], weights[b:i1], x, r - width, True)
+
+
+# the two side threads meet a new ladder at once; the lock makes the
+# second wait for the first's weights instead of building them again
+_stencil_lock = threading.Lock()
+
+
+def _ladder_weights(u: np.ndarray) -> np.ndarray:
+    with _stencil_lock:
+        return _ladder_stencil(tuple(u.tolist()), min(_D_U_WIDTH, len(u)))[0]
+
+
 def _d_u(values: np.ndarray, u: np.ndarray) -> np.ndarray:
     """d/du along axis 0 of ladder data (R, ...), windowed Fornberg stencils.
 
     Each row is the left-to-right sum of its stencil terms, taken on the
-    float64 view (complex data as interleaved re/im) on one core without
-    BLAS: the edge rows at either end share one window, the interior rows
-    go in blocks of _D_U_BLOCK rings.  Real data gives real output.
+    float64 view (complex data as interleaved re/im) by NumPy
+    multiply-adds without BLAS, in blocks of `_block_rings` rings.  Real
+    data gives real output.
     """
     r = values.shape[0]
-    width = min(_D_U_WIDTH, r)
-    weights, _ = _ladder_stencil(tuple(u.tolist()), width)
+    weights = _ladder_weights(u)
     x = np.ascontiguousarray(values).reshape(r, -1)
     if np.iscomplexobj(x):
         x = x.view(float)
     out = np.empty_like(x)
-    half = width // 2
-    hi = r - width + half + 1          # rows [half, hi) have centred windows
-    _stencil_rows(out[:half], weights[:half], x, 0, True)
-    for i0 in range(half, hi, _D_U_BLOCK):
-        i1 = min(i0 + _D_U_BLOCK, hi)
-        _stencil_rows(out[i0:i1], weights[i0:i1], x, i0 - half, False)
-    _stencil_rows(out[hi:], weights[hi:], x, r - width, True)
+    step = _block_rings(x[0].nbytes)
+    for i0 in range(0, r, step):
+        i1 = min(i0 + step, r)
+        _d_u_rows(out[i0:i1], weights, x, i0, i1)
     return out.view(values.dtype).reshape(values.shape)
 
 
@@ -186,25 +220,59 @@ class _Derived:
 
     alpha_t: np.ndarray    # (R, M)  v*alpha(d_theta)
     alpha_u: np.ndarray    # (R, M)  v*alpha(d_u)
-    chi_t: np.ndarray      # (R, M)  F-coefficient of dv(d_theta)
-    chi_u: np.ndarray      # (R, M)  F-coefficient of dv(d_u)
+    chi_sigma: np.ndarray  # (M,)    F-coefficient of dv(d_theta) on sigma
+
+
+def _alpha_rows(out: np.ndarray, ca: np.ndarray, cb: np.ndarray,
+                da: np.ndarray, db: np.ndarray, ta: np.ndarray,
+                tb: np.ndarray) -> None:
+    """out = Im(0.0 + ca da + cb db) / 2 pi, through the scratch ta, tb.
+
+    Complex addition is componentwise, so summing the imaginary parts
+    alone gives the same bits; the sum starts from +0.0, as np.sum does,
+    so exact zeros are +0.
+    """
+    np.multiply(ca, da, out=ta)
+    np.multiply(cb, db, out=tb)
+    np.add(0.0, ta.imag, out=out)
+    out += tb.imag
+    out /= TWO_PI
 
 
 def derived_fields(v: TunnelMapSample) -> _Derived:
+    """v*alpha along d_theta and d_u on every ring, chi on sigma; cached.
+
+    One pass over ring blocks: d/du, the conjugates and the products live
+    only per block, and the fields are written into their outputs.
+    """
     if v._derived is not None:
         return v._derived
     a, b = v.planes
+    r, m = a.shape
     dth_a, dth_b = _d_theta(v.planes)
-    du_a = _d_u(a, v.ring_u)
-    du_b = _d_u(b, v.ring_u)
-    ca, cb = np.conj(a), np.conj(b)
-    # two-term sums start from +0.0, as np.sum does, so exact zeros are +0
-    alpha_t = np.imag(0.0 + ca * dth_a + cb * dth_b) / TWO_PI
-    alpha_u = np.imag(0.0 + ca * du_a + cb * du_b) / TWO_PI
-    # F-coefficients against the contact frame (-conj w, conj z) pointwise
-    chi_t = 0.0 + (-b) * dth_a + a * dth_b
-    chi_u = 0.0 + (-b) * du_a + a * du_b
-    v._derived = _Derived(alpha_t, alpha_u, chi_t, chi_u)
+    weights = _ladder_weights(v.ring_u)
+    x = v.planes.view(float)                   # (2, R, 2M)
+    alpha_t = np.empty((r, m))
+    alpha_u = np.empty((r, m))
+    step = min(_block_rings(a[0].nbytes), r)
+    du = np.empty((2, step, 2 * m))
+    conj = np.empty((2, step, m), complex)
+    ta = np.empty((step, m), complex)
+    tb = np.empty((step, m), complex)
+    for i0 in range(0, r, step):
+        i1 = min(i0 + step, r)
+        n = i1 - i0
+        _d_u_rows(du[0, :n], weights, x[0], i0, i1)
+        _d_u_rows(du[1, :n], weights, x[1], i0, i1)
+        du_a, du_b = du[:, :n].view(complex)
+        ca = np.conj(a[i0:i1], out=conj[0, :n])
+        cb = np.conj(b[i0:i1], out=conj[1, :n])
+        _alpha_rows(alpha_t[i0:i1], ca, cb, dth_a[i0:i1], dth_b[i0:i1],
+                    ta[:n], tb[:n])
+        _alpha_rows(alpha_u[i0:i1], ca, cb, du_a, du_b, ta[:n], tb[:n])
+    # F-coefficient against the contact frame (-conj w, conj z) pointwise
+    chi_sigma = 0.0 + (-b[0]) * dth_a[0] + a[0] * dth_b[0]
+    v._derived = _Derived(alpha_t, alpha_u, chi_sigma)
     return v._derived
 
 
@@ -295,7 +363,13 @@ def asymptotic_energy(v: TunnelMapSample, delta: float) -> EnergyProfile:
     a_t = TWO_PI * d.alpha_t
     a_t_s = TWO_PI * _d_u(a_t, v.ring_u)
     a_t_t = TWO_PI * _d_theta(a_t)
-    pf2 = (TWO_PI ** 2) * (np.abs(d.chi_u) ** 2 + np.abs(d.chi_t) ** 2)
+    # F-coefficients of dv(d_theta) and dv(d_u) on every ring, needed here
+    # only, so built here and not cached
+    a, b = v.planes
+    dth_a, dth_b = _d_theta(v.planes)
+    chi_t = 0.0 + (-b) * dth_a + a * dth_b
+    chi_u = 0.0 + (-b) * _d_u(a, v.ring_u) + a * _d_u(b, v.ring_u)
+    pf2 = (TWO_PI ** 2) * (np.abs(chi_u) ** 2 + np.abs(chi_t) ** 2)
     dens = np.abs(a_s) ** 2 + a_t_s ** 2 + a_t_t ** 2 + pf2
     ring_density = np.mean(dens, axis=1) * np.exp(delta * s)
 
@@ -408,6 +482,23 @@ def puncture_parameters(v: TunnelMapSample, n_dirs: int = 16) -> np.ndarray:
     return np.angle(limit) / TWO_PI
 
 
+def fold_data(v: TunnelMapSample,
+              factor: float) -> tuple[Optional[np.ndarray], float]:
+    """Neumann data on sigma and the marker parameter of a tunneling map.
+
+    The data is factor * v*alpha(d_u) on the fold with its mean removed,
+    or None when it is stencil noise around the exact zero; the marker
+    parameter is -2 t_+ for the puncture parameter t_+ of v.
+    """
+    d = derived_fields(v)
+    data = factor * d.alpha_u[0]
+    data = data - np.mean(data)  # remove quadrature-level mean noise
+    scale = max(float(np.max(np.abs(d.alpha_t[0]))), 1e-3)
+    if np.max(np.abs(data)) < 1e-9 * scale:
+        data = None
+    return data, -2.0 * float(puncture_parameters(v, n_dirs=1)[0])
+
+
 def _omega_density(v: TunnelMapSample) -> np.ndarray:
     """Pullback of omega_Z = d(alpha) in the (u, theta) coordinates."""
     d = derived_fields(v)
@@ -427,8 +518,7 @@ def check_conjugate(pair: ConjugatePair) -> ConjugacyReport:
     if vp.m != vm.m or vp.n_rings != vm.n_rings:
         raise DomainError("conjugate pair samples disagree in shape")
 
-    dens_p = _omega_density(vp)
-    dens_m = _omega_density(vm)
+    dens_p, dens_m = both(_omega_density, vp, vm)
     omega_res = float(np.max(np.abs(dens_p - dens_m)))
 
     dp = derived_fields(vp)
@@ -473,18 +563,10 @@ def conjugate_partner(v_plus: TunnelMapSample,
     if check_periods(v_plus) > 1e-8:
         raise VerificationError("input has nonvanishing periods")
 
-    d = derived_fields(v_plus)
-    data = 2.0 * d.alpha_u[0]
-    data = data - np.mean(data)  # remove quadrature-level mean noise
-    scale = max(float(np.max(np.abs(d.alpha_t[0]))), 1e-3)
-    if np.max(np.abs(data)) < 1e-9 * scale:
-        g0 = None  # data is stencil noise around the exact zero
-    else:
-        g0 = solve_neumann_vanishing(
-            BoundaryLoopSamples(data, v_plus.rho), ExteriorPunctured(v_plus.rho))
+    data, const = fold_data(v_plus, 2.0)
+    g0 = None if data is None else solve_neumann_vanishing(
+        BoundaryLoopSamples(data, v_plus.rho), ExteriorPunctured(v_plus.rho))
 
-    t_plus = float(puncture_parameters(v_plus, n_dirs=1)[0])
-    const = -2.0 * t_plus
     th = sp.angles(v_plus.m)
     winding = -2 * v_plus.degree
 

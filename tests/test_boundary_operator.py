@@ -56,9 +56,9 @@ def test_b_gauge_identity_on_family():
     # of the opposite map: both sides evaluated from the closed forms
     dp = derived_fields(BUNDLE.pair.v_plus)
     dm = derived_fields(BUNDLE.pair.v_minus)
-    xi = section(xi_f=dp.chi_t[0].copy(), xi_l=dp.alpha_t[0].copy())
+    xi = section(xi_f=dp.chi_sigma.copy(), xi_l=dp.alpha_t[0].copy())
     out = B.build_B(BOP).apply(xi)
-    assert np.max(np.abs(out.xi_f - dm.chi_t[0])) < 1e-7
+    assert np.max(np.abs(out.xi_f - dm.chi_sigma)) < 1e-7
     assert np.max(np.abs(out.xi_k)) < 1e-7
     assert np.max(np.abs(out.xi_l - dm.alpha_t[0])) < 1e-7
 

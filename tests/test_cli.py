@@ -392,3 +392,38 @@ def test_config_integer_fields_reject_bool(tmp_path):
     with pytest.raises(ValueError, match="must be an integer"):
         load_config(str(cfg))
     assert CONFIG.grid is grid
+
+
+# ---------------------------------------------------------------------------
+# errors raised inside the computation
+
+
+def test_linalg_error_is_a_verification_error(tmp_path, capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    capsys.readouterr()
+    assert run(["degree1", "--c", "0.3", "--resolution", "64",
+                "--out", str(tmp_path / "r.json")]) == cli.EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert err == "verification error: SVD did not converge\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_error_on_the_pooled_side_keeps_its_exit_code(tmp_path, capsys,
+                                                      monkeypatch):
+    # the minus side runs on the side pool; its error still reaches main
+    from foldedmaps import moduli
+    from foldedmaps.errors import DomainError
+
+    def failing_v_minus(c, m):
+        def fn(z):
+            raise DomainError("minus side rejected")
+        return fn
+
+    monkeypatch.setattr(moduli, "family_v_minus", failing_v_minus)
+    capsys.readouterr()
+    assert run(["degree1", "--c", "0.3", "--resolution", "64",
+                "--out", str(tmp_path / "r.json")]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "input error: minus side rejected\n"

@@ -1,9 +1,13 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from foldedmaps import _sides
 from foldedmaps import _spectral as sp
+from foldedmaps import cli
 from foldedmaps import harmonic as H
 from foldedmaps import moduli as Mo
 from foldedmaps import sphere as S
@@ -229,6 +233,66 @@ def test_degree1_oracle_equivalence():
     rf = Mo.verify_folded_holomorphic(bf).as_dict()
     for k in rc:
         assert abs(rc[k] - rf[k]) < 1e-7
+
+
+def test_samples_are_normalized_planes():
+    # the sampled maps are the (..., 2) views of their component planes,
+    # equal bit for bit to normalizing the interleaved values by their norm
+    c, m = 0.45 + 0.3j, np.exp(0.7j)
+    u = T.default_ring_u()
+    z = 0.8 * np.exp(u)[:, None] * np.exp(1j * sp.angles(64))[None, :]
+    curve = Mo.CurveInput(np.array([0.1, 0.0, 0.9 * m]), np.array([m * c]), m)
+    cases = [(Mo.family_v_plus(c, m)(z),
+              np.stack([m * z, np.full_like(z, m * c)], axis=-1)),
+             (Mo.family_v_minus(c, m)(z),
+              np.stack([m / z, m * c / z ** 2], axis=-1)),
+             (Mo._unit(np.stack(curve.components(z))), curve.eval(z))]
+    for vals, w in cases:
+        expected = w / np.linalg.norm(w, axis=-1, keepdims=True)
+        assert np.ascontiguousarray(vals).tobytes() == expected.tobytes()
+        v = T.TunnelMapSample(0.8, u, vals, S.CharacteristicParam(m), 1)
+        assert np.shares_memory(v.planes, vals)
+
+
+def _report_text(build):
+    return cli.format_json(Mo.bundle_report(build()))
+
+
+def test_concurrent_callers_match_one_thread():
+    # three callers share the one side thread; every report must equal the
+    # one computed with both sides inline on a single thread
+    c, m = 0.4 + 0.1j, np.exp(0.3j)
+    r0 = np.sqrt(1 - abs(c) ** 2)
+    curve = Mo.CurveInput(np.array([0, 0, 0, r0 * m]), np.array([m * c]), m)
+    builds = [lambda: Mo.degree1_family(Mo.ModuliParam(c, m), M_RES, NR),
+              lambda: Mo.construct_degree_d(curve, m, M_RES, NR)]
+    # a call made on the side thread runs both of its sides inline
+    expected = [_sides._executor().submit(_report_text, b).result(timeout=60)
+                for b in builds]
+    failures = []
+
+    def caller(k):
+        for j in range(4):
+            n = (k + j) % len(builds)
+            try:
+                if _report_text(builds[n]) != expected[n]:
+                    failures.append((k, n))
+            except Exception as exc:    # reported through the assert below
+                failures.append((k, n, repr(exc)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,))
+                   for k in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
 
 
 def test_degree2_curve_passes():

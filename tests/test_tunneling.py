@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -57,8 +58,8 @@ def d_u_direct(values, u, width=9):
     return out
 
 
-def ladder_values(n_rings):
-    shape = (n_rings, 16, 2)
+def ladder_values(n_rings, m=16):
+    shape = (n_rings, m, 2)
     return RNG.normal(size=shape) + 1j * RNG.normal(size=shape)
 
 
@@ -70,6 +71,18 @@ def test_d_u_cached_stencil_matches_direct(u):
     assert T._d_u(vals, u).tobytes() == d_u_direct(vals, u).tobytes()
     weights, starts = T._ladder_stencil(tuple(u.tolist()), 9)
     assert not weights.flags.writeable and not starts.flags.writeable
+
+
+@pytest.mark.parametrize("m", [64, 256, 2048])
+def test_d_u_ring_blocks_match_direct(m):
+    # (R, M) complex ladders: one block of 256 rings at M = 64 (longer than
+    # the ladder), 64 rings at M = 256 and 8 rings at M = 2048
+    u = T.default_ring_u()
+    vals = ladder_values(len(u), m)[..., 0]
+    assert T._block_rings(vals[0].nbytes) == max(8, 16384 // m)
+    assert T._d_u(vals, u).tobytes() == d_u_direct(vals, u).tobytes()
+    real = np.ascontiguousarray(vals.real)
+    assert T._d_u(real, u).tobytes() == d_u_direct(real, u).tobytes()
 
 
 @pytest.mark.parametrize("n_rings", range(3, 13))
@@ -137,6 +150,84 @@ def test_d_u_stencil_cache_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
+
+
+def derived_reference(v):
+    """The derived fields by whole-ladder formulas, every product kept."""
+    a, b = v.planes
+    dth_a, dth_b = T._d_theta(v.planes)
+    du_a = d_u_direct(a, v.ring_u)
+    du_b = d_u_direct(b, v.ring_u)
+    ca, cb = np.conj(a), np.conj(b)
+    alpha_t = np.imag(0.0 + ca * dth_a + cb * dth_b) / T.TWO_PI
+    alpha_u = np.imag(0.0 + ca * du_a + cb * du_b) / T.TWO_PI
+    chi_t = 0.0 + (-b) * dth_a + a * dth_b
+    chi_u = 0.0 + (-b) * du_a + a * du_b
+    return alpha_t, alpha_u, chi_t, chi_u
+
+
+@pytest.mark.parametrize("m,n_rings", [(64, 201), (256, 201), (2048, 201),
+                                       (2048, 5), (256, 70)],
+                         ids=["64", "256", "2048", "2048-short", "256-70"])
+def test_derived_fields_match_whole_ladder_formulas(m, n_rings):
+    # 201 rings are shorter than one block at M = 64; 5 rings at M = 2048
+    # are fewer than one block of 8; 70 rings at M = 256 end in a block of 6
+    vp, _, _ = family_samples(0.45 + 0.3j, np.exp(0.7j), M=m)
+    if n_rings < vp.n_rings:
+        vp = T.TunnelMapSample(vp.rho, vp.ring_u[:n_rings],
+                               vp.rings[:n_rings], vp.x, vp.degree)
+    alpha_t, alpha_u, chi_t, _ = derived_reference(vp)
+    d = T.derived_fields(vp)
+    assert d.alpha_t.tobytes() == alpha_t.tobytes()
+    assert d.alpha_u.tobytes() == alpha_u.tobytes()
+    assert d.chi_sigma.tobytes() == chi_t[0].tobytes()
+
+
+def test_asymptotic_energy_matches_whole_ladder_chi():
+    from scipy.integrate import simpson
+    vp, _, _ = family_samples(0.5, np.exp(0.3j))
+    delta = 0.1
+    alpha_t, alpha_u, chi_t, chi_u = derived_reference(vp)
+    s = vp.ring_u / T.TWO_PI
+    a_t = T.TWO_PI * alpha_t
+    dens = (np.abs(T.TWO_PI * alpha_u) ** 2
+            + (T.TWO_PI * T._d_u(a_t, vp.ring_u)) ** 2
+            + (T.TWO_PI * T._d_theta(a_t)) ** 2
+            + (T.TWO_PI ** 2) * (np.abs(chi_u) ** 2 + np.abs(chi_t) ** 2))
+    ring_density = np.mean(dens, axis=1) * np.exp(delta * s)
+    e_r = np.array([simpson(ring_density[i:], x=s[i:])
+                    for i in range(vp.n_rings - 1)] + [0.0])
+    prof = T.asymptotic_energy(vp, delta)
+    assert prof.e_r.tobytes() == e_r.tobytes()
+
+
+def test_ladder_stencil_built_once_under_threads(monkeypatch):
+    # callers that meet a new ladder at the same time share one build
+    u = np.cumsum(np.full(40, 0.013))
+    vals = ladder_values(40)
+    calls = []
+    fd_weights = sp.fd_weights
+
+    def counting(*args):
+        calls.append(1)
+        time.sleep(1e-4)
+        return fd_weights(*args)
+
+    monkeypatch.setattr(sp, "fd_weights", counting)
+    T._ladder_stencil.cache_clear()
+    start = threading.Barrier(4)
+
+    def worker():
+        start.wait(timeout=30)
+        T._d_u(vals, u)
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == len(u)
 
 
 # ---------------------------------------------------------------------------
