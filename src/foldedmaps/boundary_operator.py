@@ -314,6 +314,11 @@ def principal_symbol_B(a: float, af: complex, f_chi: float,
                         _symbol_stack(a, af, f_chi, f_jchi, -1))
 
 
+# sample minima within this relative distance of the smallest one are
+# ties: on circle-invariant inputs they differ by round-off only
+_ARGMIN_TIE_RTOL = 1e-12
+
+
 @dataclass
 class EllipticityReport:
     sigma_min: float
@@ -342,6 +347,10 @@ def check_ellipticity(data: BOperatorData) -> EllipticityReport:
     mins = np.minimum(sv[0], sv[1])
     arg = int(np.argmin(mins))
     smin = float(mins[arg])
+    # the first sample tied with the minimum (none when it is NaN)
+    ties = np.flatnonzero(mins <= smin + _ARGMIN_TIE_RTOL * abs(smin))
+    if ties.size:
+        arg = int(ties[0])
     return EllipticityReport(smin, smin > CONFIG.tol.ellipticity_floor,
                              arg, mins)
 

@@ -25,6 +25,10 @@ EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_TIER = 3
 
+# |m| = 1 check on the user's m, looser than moduli.UNIT_MODULUS_TOL
+# because the CLI normalizes m to unit modulus right after it
+M_MODULUS_TOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # serialization
@@ -108,7 +112,7 @@ def cmd_degree1(args) -> int:
     c = parse_complex(args.c)
     m = parse_complex(args.m)
     m_res = _validate_resolution(args.resolution)
-    if abs(abs(m) - 1.0) > 1e-9:
+    if abs(abs(m) - 1.0) > M_MODULUS_TOL:
         raise InputError(f"|m| must be 1, got {abs(m)}")
     m = m / abs(m)
     bundle = moduli.degree1_family(moduli.ModuliParam(c, m), m_res)
@@ -132,7 +136,7 @@ def cmd_degree_d(args) -> int:
 
 def cmd_compactify(args) -> int:
     m = parse_complex(args.m)
-    if abs(abs(m) - 1.0) > 1e-9:
+    if abs(abs(m) - 1.0) > M_MODULUS_TOL:
         raise InputError(f"|m| must be 1, got {abs(m)}")
     if args.steps < 2:
         raise InputError("need at least 2 steps")

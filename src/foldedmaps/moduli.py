@@ -22,8 +22,9 @@ from .errors import (DomainError, InputError, NonImmersedBoundaryError,
                      TierViolationError, VerificationError)
 from .harmonic import BoundaryLoopSamples, solve_f_degree_d
 from .sphere import (CharacteristicParam, FoldPoint, PolarMapGrid,
-                     gauss_legendre_radial, grid_from_chart, hopf_project,
-                     omega_energy, ProjectivePoint)
+                     _block_rings, chart_omega_energy, gauss_legendre_radial,
+                     grid_from_chart, hopf_project, omega_energy,
+                     ProjectivePoint)
 from .tunneling import (ConjugacyReport, ConjugatePair, TunnelMapSample,
                         check_conjugate, fold_data, make_conjugate_pair,
                         sample_tunnel_map, tunneling_omega_energy)
@@ -31,6 +32,9 @@ from .tunneling import (ConjugacyReport, ConjugatePair, TunnelMapSample,
 TWO_PI = 2.0 * np.pi
 # tag of the reports written by bundle_report and the CLI
 SCHEMA = "folded-maps/2"
+# how far |m| may be from 1: m is used as given, so only round-off is
+# allowed
+UNIT_MODULUS_TOL = 1e-12
 
 
 def det_omega_closed_form(x0: np.ndarray) -> np.ndarray:
@@ -63,7 +67,7 @@ class ModuliParam:
                               f"m={self.m}")
         if abs(self.c) >= 1.0:
             raise DomainError(f"|c| must be < 1, got {abs(self.c)}")
-        if abs(abs(self.m) - 1.0) > 1e-12:
+        if abs(abs(self.m) - 1.0) > UNIT_MODULUS_TOL:
             raise DomainError(f"|m| must be 1, got {abs(self.m)}")
 
 
@@ -84,27 +88,54 @@ class ChartGrid:
         return grid_from_chart(self.values, self.radii, self.weights,
                                self.dvalues_dr)
 
+    def omega_energy(self) -> float:
+        """omega_energy of the chart's equator grid.
+
+        A chart with exact radial derivatives is integrated from its
+        planes in ring blocks, without building the grid.
+        """
+        if self.dvalues_dr is None:
+            return omega_energy(self.to_equator_grid())
+        return chart_omega_energy(np.moveaxis(self.values, -1, 0),
+                                  np.moveaxis(self.dvalues_dr, -1, 0),
+                                  self.weights)
+
     def holomorphy_residual(self) -> float:
         """Cross-ring Laurent consistency of the chart samples.
 
         A holomorphic map has angular coefficients c_n(r) = a_n r^n with no
         negative modes; the residual compares every ring against the
         coefficients fitted at the outermost ring, plus the negative-mode
-        content, normalized by the sample scale.
+        content, normalized by the sample scale.  After the outermost
+        ring's FFT, the rings are swept in blocks of `_block_rings`.
         """
-        vals = self.values
-        scale = max(float(np.max(np.abs(vals))), 1e-300)
-        coef = np.fft.fft(vals, axis=1) / self.m
-        n = sp.modes(self.m)
-        window = np.abs(n) <= self.m // 4
-        pos = window & (n >= 0)
-        neg = window & (n < 0)
+        planes = np.moveaxis(self.values, -1, 0)          # (2, nr, M)
+        m = self.m
+        # modes 0..M/4 and -M/4..-1, in FFT order
+        pos, neg = slice(0, m // 4 + 1), slice(m - m // 4, m)
+        n_pos = np.arange(m // 4 + 1)
         r = self.radii
-        ratio = (r[:, None] / r[-1]) ** n[None, pos.nonzero()[0]]
-        predicted = coef[-1:, pos, :] * ratio[:, :, None]
-        res_pos = float(np.max(np.abs(coef[:, pos, :] - predicted)))
-        res_neg = float(np.max(np.abs(coef[:, neg, :])))
-        return max(res_pos, res_neg) / scale
+        outer = (np.fft.fft(planes[:, -1], axis=-1) / m)[:, None, pos]
+        scale = res_pos = res_neg = 0.0
+        step = _block_rings(16 * m)
+        for i0 in range(0, len(r), step):
+            block = planes[:, i0:i0 + step]
+            coef = np.fft.fft(block, axis=-1) / m
+            ratio = (r[i0:i0 + step, None] / r[-1]) ** n_pos
+            scale = max(scale, float(np.max(np.abs(block))))
+            res_pos = max(res_pos, float(np.max(np.abs(
+                coef[..., pos] - outer * ratio))))
+            res_neg = max(res_neg, float(np.max(np.abs(coef[..., neg]))))
+        return max(res_pos, res_neg) / max(scale, 1e-300)
+
+    def sign_violation(self, side: int) -> float:
+        """How far det(omega) on the chart falls short of the side's sign.
+
+        det(omega) is positive on the upper chart and negative on the
+        lower one, whose transverse coordinate is -x0.
+        """
+        tau = det_omega_closed_form(side * _x0(self.values))
+        return float(max(0.0, -np.min(side * tau)))
 
 
 @dataclass
@@ -169,28 +200,33 @@ class VerificationReport:
 # degree-1 family
 
 
-def _planes_view(*components: np.ndarray) -> np.ndarray:
-    """(..., 2) view of C^2 samples stored as contiguous component planes."""
-    return np.moveaxis(np.stack(components), 0, -1)
+def _family_chart(c: complex, m: complex, m_res: int, nr: int,
+                  side: int) -> ChartGrid:
+    """Chart grid of one side of the degree-1 family, with exact d/dr.
 
-
-def _family_charts(c: complex, m: complex, m_res: int, nr: int):
+    Values and radial derivatives are written into contiguous (2, nr, M)
+    component planes.  The lower side (side -1) is sampled in the
+    inverted coordinate zeta = 1/z.
+    """
     r0 = np.sqrt(1.0 - abs(c) ** 2)
-    th = sp.angles(m_res)
-
     radii, weights = gauss_legendre_radial(nr)
-    z = radii[:, None] * np.exp(1j * th)[None, :]
-    ph = np.exp(1j * th)[None, :]
-
-    y_plus = _planes_view(r0 * m * z, np.full_like(z, m * c))
-    dy_plus = _planes_view(r0 * m * ph * np.ones_like(z), np.zeros_like(z))
-
-    # lower side in the inverted coordinate zeta = 1/z
-    y_minus = _planes_view(r0 * m * z, m * c * z ** 2)
-    dy_minus = _planes_view(r0 * m * ph * np.ones_like(z),
-                            2 * m * c * z * ph)
-    return (ChartGrid(radii, weights, y_plus, dy_plus),
-            ChartGrid(radii, weights, y_minus, dy_minus), r0, th)
+    ph = np.exp(1j * sp.angles(m_res))[None, :]
+    z = radii[:, None] * ph
+    y = np.empty((2, nr, m_res), complex)
+    dy = np.empty_like(y)
+    np.multiply(r0 * m, z, out=y[0])
+    dy[0] = r0 * m * ph
+    if side > 0:
+        y[1] = m * c
+        dy[1] = 0.0
+    else:
+        # kept as one expression: numpy may reuse the z ** 2 temporary as
+        # the product's first operand, which decides its rounding
+        y[1] = m * c * z ** 2
+        np.multiply(2 * m * c, z, out=dy[1])
+        dy[1] *= ph
+    return ChartGrid(radii, weights, np.moveaxis(y, 0, -1),
+                     np.moveaxis(dy, 0, -1))
 
 
 def _unit(planes: np.ndarray) -> np.ndarray:
@@ -236,7 +272,7 @@ def _assemble(chart_p: ChartGrid, chart_m: ChartGrid,
     """Pair the tunneling maps, integrate the four energies and bundle."""
     def side_energies(side):
         chart, v = side
-        return omega_energy(chart.to_equator_grid()), tunneling_omega_energy(v)
+        return chart.omega_energy(), tunneling_omega_energy(v)
 
     (e_up, e_vp), (e_um, e_vm) = both(side_energies, (chart_p, vp),
                                       (chart_m, vm))
@@ -263,12 +299,17 @@ def degree1_family(param: ModuliParam, m_res: int,
             "|c| too close to 1; use compactification_sample for the limit")
     nr = nr or CONFIG.grid.radial_nodes
 
-    chart_p, chart_m, r0, th = _family_charts(c, m, m_res, nr)
+    r0 = np.sqrt(1.0 - abs(c) ** 2)
+    th = sp.angles(m_res)
     x = CharacteristicParam(m)
 
-    vp, vm = both(lambda side: sample_tunnel_map(*side),
-                  (family_v_plus(c, m), r0, m_res, x, 1),
-                  (family_v_minus(c, m), r0, m_res, x, -1))
+    def sample_side(side):
+        sign, v_fn = side
+        return (_family_chart(c, m, m_res, nr, sign),
+                sample_tunnel_map(v_fn, r0, m_res, x, sign))
+
+    (chart_p, vp), (chart_m, vm) = both(
+        sample_side, (1, family_v_plus(c, m)), (-1, family_v_minus(c, m)))
 
     boundary_plus = np.stack(
         [r0 * m * np.exp(1j * th), np.full(m_res, m * c)], axis=1)
@@ -291,16 +332,16 @@ def verify_folded_holomorphic(bundle: FoldedMapBundle) -> VerificationReport:
     tunneling pair.  det(omega) is positive on the upper chart and
     negative on the lower one, whose transverse coordinate is -x0.
     """
-    holo_p, holo_m = both(ChartGrid.holomorphy_residual, bundle.chart_plus,
-                          bundle.chart_minus)
+    def chart_checks(side):
+        chart, sign = side
+        return chart.holomorphy_residual(), chart.sign_violation(sign)
+
+    (holo_p, viol_p), (holo_m, viol_m) = both(
+        chart_checks, (bundle.chart_plus, 1), (bundle.chart_minus, -1))
 
     tau_b = float(max(
         np.max(np.abs(det_omega_closed_form(_x0(bundle.boundary_plus)))),
         np.max(np.abs(det_omega_closed_form(_x0(bundle.boundary_minus))))))
-    tau_p = det_omega_closed_form(_x0(bundle.chart_plus.values))
-    tau_m = det_omega_closed_form(-_x0(bundle.chart_minus.values))
-    viol_p = float(max(0.0, -np.min(tau_p)))
-    viol_m = float(max(0.0, np.max(tau_m)))
     tau_sign = max(viol_p, viol_m)
 
     match_p = float(np.max(np.abs(bundle.boundary_plus
@@ -377,7 +418,7 @@ class CurveInput:
             raise InputError("curve coefficients and m must be finite")
         if self.degree < 1:
             raise InputError("curve must have degree at least 1")
-        if abs(abs(self.m) - 1.0) > 1e-12:
+        if abs(abs(self.m) - 1.0) > UNIT_MODULUS_TOL:
             raise InputError("|m| must be 1")
 
     @property

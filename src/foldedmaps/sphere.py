@@ -29,6 +29,16 @@ from .errors import DomainError
 
 TWO_PI = 2.0 * np.pi
 
+# bytes of rows per ring block: 8 complex rings at M = 2048, so one
+# block's input and output rows stay in L2, and more rings at smaller M,
+# where Python-level block calls would dominate
+_BLOCK_BYTES = 8 * 2048 * 16
+
+
+def _block_rings(row_bytes: int) -> int:
+    """Rings per block of a ring-block pass over rows of row_bytes."""
+    return max(8, _BLOCK_BYTES // row_bytes)
+
 
 # ---------------------------------------------------------------------------
 # points
@@ -458,25 +468,50 @@ def grid_from_chart(chart_values: np.ndarray, radii: np.ndarray,
                         None if dvals is None else np.moveaxis(dvals, 0, 2))
 
 
+def _ring_integrals(dr: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Integral over each ring of the omega density Im<dr, dt> / pi.
+
+    dr and dt are (2, ..., M) stacks of the radial and angular derivatives
+    of the equator map; the integral runs along the last (angle) axis.
+    """
+    density = np.imag(0.0 + np.conj(dr[0]) * dt[0]
+                      + np.conj(dr[1]) * dt[1]) / np.pi
+    return np.sum(density, axis=-1) * (2.0 * np.pi / density.shape[-1])
+
+
 def omega_energy(grid: PolarMapGrid) -> float:
     """Integral of the pullback of omega over the gridded 2-domain.
 
     Spectral in the angle, Gauss quadrature in the radius; exact radial
     derivatives are used when the grid carries them.
     """
-    planes = np.moveaxis(grid.values, 2, 0)
-    m = planes.shape[2]
-    dt0, dt1 = sp.theta_derivative(planes, axis=-1)
+    dt = sp.theta_derivative(np.moveaxis(grid.values, 2, 0), axis=-1)
     if grid.dvalues_dr is not None:
-        dr0, dr1 = np.moveaxis(grid.dvalues_dr, 2, 0)
+        dr = np.moveaxis(grid.dvalues_dr, 2, 0)
     else:
         # one real matmul over the interleaved (re, im) columns
         d = _barycentric_diff_matrix(grid.radii)
         y = grid.values
         flat = np.ascontiguousarray(y, dtype=complex)
         flat = flat.reshape(len(y), -1).view(float)
-        dr = (d @ flat).view(complex).reshape(y.shape)
-        dr0, dr1 = dr[..., 0], dr[..., 1]
-    density = np.imag(0.0 + np.conj(dr0) * dt0 + np.conj(dr1) * dt1) / np.pi
-    ring_integrals = np.sum(density, axis=1) * (2.0 * np.pi / m)
-    return float(np.dot(grid.weights, ring_integrals))
+        dr = np.moveaxis((d @ flat).view(complex).reshape(y.shape), 2, 0)
+    return float(np.dot(grid.weights, _ring_integrals(dr, dt)))
+
+
+def chart_omega_energy(y: np.ndarray, dy: np.ndarray,
+                       weights: np.ndarray) -> float:
+    """omega_energy of grid_from_chart(y, radii, weights, dy), bit for bit.
+
+    y and dy are (2, nr, M) planes of ball-chart samples and their exact
+    radial derivatives.  One pass over blocks of `_block_rings` rings maps
+    each block to the equator, differentiates it in the angle and
+    integrates its rings, so no grid-sized temporary is built.
+    """
+    nr, m = y.shape[1:]
+    rings = np.empty(nr)
+    step = _block_rings(16 * m)
+    for i0 in range(0, nr, step):
+        vals, dvals = _equator_planes(y[:, i0:i0 + step], dy[:, i0:i0 + step])
+        rings[i0:i0 + step] = _ring_integrals(
+            dvals, sp.theta_derivative(vals, axis=-1))
+    return float(np.dot(np.asarray(weights, float), rings))

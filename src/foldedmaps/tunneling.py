@@ -24,7 +24,7 @@ from .errors import (DomainError, GapSignError, NonTransverseCrossingError,
                      VerificationError)
 from .harmonic import BoundaryLoopSamples, ExteriorPunctured, \
     solve_neumann_vanishing
-from .sphere import CharacteristicParam
+from .sphere import CharacteristicParam, _block_rings
 
 TWO_PI = 2.0 * np.pi
 
@@ -136,17 +136,8 @@ def _ladder_stencil(nodes: tuple[float, ...],
     return weights, starts
 
 
-# bytes of ladder rows per ring block: 8 complex rings at M = 2048, so one
-# block's input and output rows stay in L2, and more rings at smaller M,
-# where Python-level block calls would dominate
-_BLOCK_BYTES = 8 * 2048 * 16
 # d/du stencil width: 9 rings, eighth order on a uniform ladder
 _D_U_WIDTH = 9
-
-
-def _block_rings(row_bytes: int) -> int:
-    """Rings per block of a ring-block pass over rows of row_bytes."""
-    return max(8, _BLOCK_BYTES // row_bytes)
 
 
 def _stencil_rows(out: np.ndarray, w: np.ndarray, x: np.ndarray, lo: int,
@@ -518,7 +509,8 @@ def check_conjugate(pair: ConjugatePair) -> ConjugacyReport:
     if vp.m != vm.m or vp.n_rings != vm.n_rings:
         raise DomainError("conjugate pair samples disagree in shape")
 
-    dens_p, dens_m = both(_omega_density, vp, vm)
+    (dens_p, hp), (dens_m, hm) = both(
+        lambda v: (_omega_density(v), hopf_ratio(v)), vp, vm)
     omega_res = float(np.max(np.abs(dens_p - dens_m)))
 
     dp = derived_fields(vp)
@@ -530,8 +522,6 @@ def check_conjugate(pair: ConjugatePair) -> ConjugacyReport:
     tm = puncture_parameters(vm)
     marker = float(np.max(np.abs(np.exp(2j * np.pi * (tp + tm)) - 1.0)))
 
-    hp = hopf_ratio(vp)
-    hm = hopf_ratio(vm)
     base = float(np.max(np.abs(hp - hm) / (1.0 + np.abs(hp) ** 2)))
 
     cp = sp.coeffs(hp[-1])

@@ -213,6 +213,19 @@ def test_ellipticity_fails_at_zeroed_sample():
     assert rep.argmin_sample == 17
 
 
+@pytest.mark.parametrize("dip, expected", [(1e-14, 0), (1e-6, 40)])
+def test_ellipticity_argmin_is_first_of_round_off_ties(dip, expected):
+    # a minimum lower than the others by round-off only is a tie, and the
+    # first tied sample is reported
+    a = np.ones(64)
+    a[40] -= dip
+    data = B.BOperatorData(1.0, a, np.ones(64, complex),
+                           np.zeros(64), np.zeros(64))
+    rep = B.check_ellipticity(data)
+    assert rep.sigma_min == rep.per_sample[40] < rep.per_sample[0]
+    assert rep.argmin_sample == expected
+
+
 def test_ellipticity_family_pipeline():
     b = family_bundle(0.7, 1.0)
     data = B.boperator_data_from_bundle(b)

@@ -258,21 +258,21 @@ def _report_text(build):
     return cli.format_json(Mo.bundle_report(build()))
 
 
-def test_concurrent_callers_match_one_thread():
+def _check_concurrent_callers(m_res, nr, rounds):
     # three callers share the one side thread; every report must equal the
     # one computed with both sides inline on a single thread
     c, m = 0.4 + 0.1j, np.exp(0.3j)
     r0 = np.sqrt(1 - abs(c) ** 2)
     curve = Mo.CurveInput(np.array([0, 0, 0, r0 * m]), np.array([m * c]), m)
-    builds = [lambda: Mo.degree1_family(Mo.ModuliParam(c, m), M_RES, NR),
-              lambda: Mo.construct_degree_d(curve, m, M_RES, NR)]
+    builds = [lambda: Mo.degree1_family(Mo.ModuliParam(c, m), m_res, nr),
+              lambda: Mo.construct_degree_d(curve, m, m_res, nr)]
     # a call made on the side thread runs both of its sides inline
     expected = [_sides._executor().submit(_report_text, b).result(timeout=60)
                 for b in builds]
     failures = []
 
     def caller(k):
-        for j in range(4):
+        for j in range(rounds):
             n = (k + j) % len(builds)
             try:
                 if _report_text(builds[n]) != expected[n]:
@@ -293,6 +293,16 @@ def test_concurrent_callers_match_one_thread():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
+
+
+def test_concurrent_callers_match_one_thread():
+    _check_concurrent_callers(M_RES, NR, 4)
+
+
+def test_concurrent_callers_match_one_thread_multi_block():
+    # M = 1024: the chart passes take blocks of 16 of the 40 rings, the
+    # ladder passes blocks of 16 of the 201 rings
+    _check_concurrent_callers(1024, 40, 2)
 
 
 def test_degree2_curve_passes():

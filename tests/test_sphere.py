@@ -352,7 +352,7 @@ def test_barycentric_diff_matrix_differentiates_polynomials():
                                   (0.85j, np.exp(-1.1j))])
 def test_omega_energy_barycentric_matches_exact_derivative(c, m):
     from foldedmaps import moduli as Mo
-    for chart in Mo._family_charts(c, m, 128, 128)[:2]:
+    for chart in [Mo._family_chart(c, m, 128, 128, s) for s in (1, -1)]:
         exact = chart.to_equator_grid()
         assert exact.dvalues_dr is not None
         grid = S.PolarMapGrid(exact.radii, exact.weights, exact.values)
@@ -403,7 +403,7 @@ def test_plane_grid_kernels_match_reference(degree):
     from foldedmaps import moduli as Mo
     c, m = 0.4 - 0.3j, np.exp(0.9j)
     if degree == 1:
-        charts = Mo._family_charts(c, m, 128, 48)[:2]
+        charts = [Mo._family_chart(c, m, 128, 48, s) for s in (1, -1)]
     else:
         r0m = np.sqrt(1 - abs(c) ** 2) * m
         curve = Mo.CurveInput(np.array([0] * degree + [r0m]),
@@ -420,6 +420,48 @@ def test_plane_grid_kernels_match_reference(degree):
             assert np.ascontiguousarray(grid.dvalues_dr).tobytes() \
                 == dvr.tobytes()
         assert S.omega_energy(grid) == energy
+
+
+def _reference_holomorphy_residual(values, radii):
+    # the full-array formula that the ring-block sweep must reproduce
+    m = values.shape[1]
+    scale = max(float(np.max(np.abs(values))), 1e-300)
+    coef = np.fft.fft(values, axis=1) / m
+    n = sp.modes(m)
+    window = np.abs(n) <= m // 4
+    pos = window & (n >= 0)
+    neg = window & (n < 0)
+    ratio = (radii[:, None] / radii[-1]) ** n[None, pos.nonzero()[0]]
+    predicted = coef[-1:, pos, :] * ratio[:, :, None]
+    res_pos = float(np.max(np.abs(coef[:, pos, :] - predicted)))
+    res_neg = float(np.max(np.abs(coef[:, neg, :])))
+    return max(res_pos, res_neg) / scale
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+@pytest.mark.parametrize("m_res, nr", [(2048, 44), (64, 48)],
+                         ids=["blocks", "one-block"])
+def test_ring_block_chart_passes_match_full_arrays(degree, m_res, nr):
+    # M = 2048: blocks of 8 rings, the last one 4 rings long; M = 64: one
+    # block of all the rings
+    from foldedmaps import moduli as Mo
+    c, m = 0.4 - 0.3j, np.exp(0.9j)
+    if degree == 1:
+        charts = [Mo._family_chart(c, m, m_res, nr, s) for s in (1, -1)]
+    else:
+        r0m = np.sqrt(1 - abs(c) ** 2) * m
+        curve = Mo.CurveInput(np.array([0] * degree + [r0m]),
+                              np.array([m * c]), m)
+        bundle = Mo.construct_degree_d(curve, m, m_res, nr)
+        charts = (bundle.chart_plus, bundle.chart_minus)
+    for chart in charts:
+        assert chart.holomorphy_residual() == _reference_holomorphy_residual(
+            chart.values, chart.radii)
+        energy = _reference_grid_energy(chart.values, chart.radii,
+                                        chart.weights, chart.dvalues_dr)[2]
+        # degree-1 charts carry exact d/dr and take the ring-block pass
+        assert (chart.dvalues_dr is not None) == (degree == 1)
+        assert chart.omega_energy() == energy
 
 
 def test_gauss_legendre_radial_is_cached_and_read_only():
