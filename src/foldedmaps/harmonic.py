@@ -156,6 +156,21 @@ class LaurentField:
             return sp.from_coeffs(a * fac_a + b * fac_b)
         return sp.from_coeffs(self.coeffs * self._radial_factor(rr))
 
+    def radial_derivative(self, r: Radii = None) -> np.ndarray:
+        """d/dr of `trace` at radius r > 0 (or one row per radius).
+
+        Each mode's decay factor (r/rho)^|n| or (rho/r)^|n| contributes
+        +|n|/r or -|n|/r times itself; annulus fields are not supported.
+        """
+        if isinstance(self.kind, Annulus):
+            raise DomainError("annulus fields have no radial derivative")
+        rr = self._radii(r)
+        if np.any(rr <= 0):
+            raise DomainError("radial derivative needs r > 0")
+        n = np.abs(sp.modes(self.m))
+        rate = n / rr if isinstance(self.kind, Disk) else -n / rr
+        return sp.from_coeffs(self.coeffs * self._radial_factor(rr) * rate)
+
     def boundary_radius(self) -> float:
         if isinstance(self.kind, Annulus):
             return self.kind.rho_in

@@ -20,11 +20,10 @@ from ._sides import both
 from .config import CONFIG
 from .errors import (DomainError, InputError, NonImmersedBoundaryError,
                      TierViolationError, VerificationError)
-from .harmonic import BoundaryLoopSamples, solve_f_degree_d
-from .sphere import (CharacteristicParam, FoldPoint, PolarMapGrid,
+from .harmonic import BoundaryLoopSamples, LaurentField, solve_f_degree_d
+from .sphere import (CharacteristicParam, FoldPoint, ProjectivePoint,
                      _block_rings, chart_omega_energy, gauss_legendre_radial,
-                     grid_from_chart, hopf_project, omega_energy,
-                     ProjectivePoint)
+                     hopf_project)
 from .tunneling import (ConjugacyReport, ConjugatePair, TunnelMapSample,
                         check_conjugate, fold_data, make_conjugate_pair,
                         sample_tunnel_map, tunneling_omega_energy)
@@ -35,6 +34,13 @@ SCHEMA = "folded-maps/2"
 # how far |m| may be from 1: m is used as given, so only round-off is
 # allowed
 UNIT_MODULUS_TOL = 1e-12
+# a bundle passes when its worst verification residual is below this:
+# spectrally resolved maps sit near 1e-12, unresolved ones far above
+RESIDUAL_PASS_TOL = 1e-7
+# how far |u_-| = |f w| may exceed 1 on the lower chart before the curve
+# counts as leaving the lower ball: |f w| = 1 on the fold circle holds
+# only to its certified circularity (Tolerances.fold_circularity, 1e-8)
+LOWER_BALL_TOL = 1e-8
 
 
 def det_omega_closed_form(x0: np.ndarray) -> np.ndarray:
@@ -73,32 +79,20 @@ class ModuliParam:
 
 @dataclass
 class ChartGrid:
-    """Ball-chart samples of one side on a polar tensor grid."""
+    """Ball-chart samples of one side on a polar tensor grid.
+
+    `values` is the (nr, M, 2) view of contiguous (2, nr, M) component
+    planes.  The chart's energy is integrated where the planes are built
+    (`_chart`), from exact radial derivatives that the grid does not keep.
+    """
 
     radii: np.ndarray
     weights: np.ndarray
     values: np.ndarray                       # (nr, M, 2) complex
-    dvalues_dr: Optional[np.ndarray] = None
 
     @property
     def m(self) -> int:
         return self.values.shape[1]
-
-    def to_equator_grid(self) -> PolarMapGrid:
-        return grid_from_chart(self.values, self.radii, self.weights,
-                               self.dvalues_dr)
-
-    def omega_energy(self) -> float:
-        """omega_energy of the chart's equator grid.
-
-        A chart with exact radial derivatives is integrated from its
-        planes in ring blocks, without building the grid.
-        """
-        if self.dvalues_dr is None:
-            return omega_energy(self.to_equator_grid())
-        return chart_omega_energy(np.moveaxis(self.values, -1, 0),
-                                  np.moveaxis(self.dvalues_dr, -1, 0),
-                                  self.weights)
 
     def holomorphy_residual(self) -> float:
         """Cross-ring Laurent consistency of the chart samples.
@@ -180,7 +174,7 @@ class VerificationReport:
                    self.tau_sign_violation, self.boundary_match_plus,
                    self.boundary_match_minus, self.conjugacy_max)
 
-    def passed(self, tol: float = 1e-7) -> bool:
+    def passed(self, tol: float = RESIDUAL_PASS_TOL) -> bool:
         return self.max_residual() < tol
 
     def as_dict(self) -> dict[str, float]:
@@ -200,13 +194,24 @@ class VerificationReport:
 # degree-1 family
 
 
-def _family_chart(c: complex, m: complex, m_res: int, nr: int,
-                  side: int) -> ChartGrid:
-    """Chart grid of one side of the degree-1 family, with exact d/dr.
+def _chart(radii: np.ndarray, weights: np.ndarray, y: np.ndarray,
+           dy: np.ndarray) -> tuple[ChartGrid, float]:
+    """A side's chart grid of (2, nr, M) value planes y, and its energy.
 
-    Values and radial derivatives are written into contiguous (2, nr, M)
-    component planes.  The lower side (side -1) is sampled in the
-    inverted coordinate zeta = 1/z.
+    The omega energy is integrated from the exact radial derivative
+    planes dy, which the grid does not keep.
+    """
+    return (ChartGrid(radii, weights, np.moveaxis(y, 0, -1)),
+            chart_omega_energy(y, dy, weights))
+
+
+def _family_planes(c: complex, m: complex, m_res: int, nr: int, side: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Radii, weights and the (2, nr, M) value and exact d/dr planes of
+    one side's chart in the degree-1 family.
+
+    The lower side (side -1) is sampled in the inverted coordinate
+    zeta = 1/z.
     """
     r0 = np.sqrt(1.0 - abs(c) ** 2)
     radii, weights = gauss_legendre_radial(nr)
@@ -225,8 +230,7 @@ def _family_chart(c: complex, m: complex, m_res: int, nr: int,
         y[1] = m * c * z ** 2
         np.multiply(2 * m * c, z, out=dy[1])
         dy[1] *= ph
-    return ChartGrid(radii, weights, np.moveaxis(y, 0, -1),
-                     np.moveaxis(dy, 0, -1))
+    return radii, weights, y, dy
 
 
 def _unit(planes: np.ndarray) -> np.ndarray:
@@ -266,16 +270,13 @@ def family_v_minus(c: complex, m: complex):
 
 
 def _assemble(chart_p: ChartGrid, chart_m: ChartGrid,
+              chart_energies: tuple[float, float],
               boundary_plus: np.ndarray, boundary_minus: np.ndarray,
               vp: TunnelMapSample, vm: TunnelMapSample, psi_scale: float,
               label: str) -> FoldedMapBundle:
-    """Pair the tunneling maps, integrate the four energies and bundle."""
-    def side_energies(side):
-        chart, v = side
-        return chart.omega_energy(), tunneling_omega_energy(v)
-
-    (e_up, e_vp), (e_um, e_vm) = both(side_energies, (chart_p, vp),
-                                      (chart_m, vm))
+    """Pair the tunneling maps, integrate their energies and bundle."""
+    e_up, e_um = chart_energies
+    e_vp, e_vm = both(tunneling_omega_energy, vp, vm)
     energies = {"E_u_plus": e_up, "E_u_minus": e_um,
                 "E_v_plus": e_vp, "E_v_minus": e_vm}
     return FoldedMapBundle(
@@ -305,18 +306,18 @@ def degree1_family(param: ModuliParam, m_res: int,
 
     def sample_side(side):
         sign, v_fn = side
-        return (_family_chart(c, m, m_res, nr, sign),
+        return (_chart(*_family_planes(c, m, m_res, nr, sign)),
                 sample_tunnel_map(v_fn, r0, m_res, x, sign))
 
-    (chart_p, vp), (chart_m, vm) = both(
+    ((chart_p, e_up), vp), ((chart_m, e_um), vm) = both(
         sample_side, (1, family_v_plus(c, m)), (-1, family_v_minus(c, m)))
 
     boundary_plus = np.stack(
         [r0 * m * np.exp(1j * th), np.full(m_res, m * c)], axis=1)
     boundary_minus = np.stack(
         [r0 * m * np.exp(-1j * th), m * c * np.exp(-2j * th)], axis=1)
-    return _assemble(chart_p, chart_m, boundary_plus, boundary_minus, vp, vm,
-                     r0, f"degree1(c={c!r}, m={m!r})")
+    return _assemble(chart_p, chart_m, (e_up, e_um), boundary_plus,
+                     boundary_minus, vp, vm, r0, f"degree1(c={c!r}, m={m!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +439,15 @@ class CurveInput:
     def eval(self, z: np.ndarray) -> np.ndarray:
         return np.stack(self.components(z), axis=-1)
 
-    def eval_derivative(self, z: np.ndarray) -> np.ndarray:
+    def derivative_components(self, z: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray]:
+        """The two components p'(z), q'(z) of the curve's derivative."""
         dp = np.polynomial.polynomial.polyder(self.p_coeffs) \
             if len(self.p_coeffs) > 1 else np.zeros(1, complex)
         dq = np.polynomial.polynomial.polyder(self.q_coeffs) \
             if len(self.q_coeffs) > 1 else np.zeros(1, complex)
-        return np.stack([np.polynomial.polynomial.polyval(z, dp),
-                         np.polynomial.polynomial.polyval(z, dq)], axis=-1)
+        return (np.polynomial.polynomial.polyval(z, dp),
+                np.polynomial.polynomial.polyval(z, dq))
 
     @staticmethod
     def from_json(data: dict) -> "CurveInput":
@@ -499,6 +502,50 @@ def find_circular_fold(curve: CurveInput) -> float:
     return rho
 
 
+def _curve_planes(curve: CurveInput, f_log: LaurentField, rho: float,
+                  m_res: int, nr: int, side: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Radii, weights and the (2, nr, M) value and exact d/dr planes of
+    one side's chart in the degree-d construction.
+
+    The upper chart (side +1) is the curve w on the fold disk |z| <= rho,
+    with d/dr = e^{i theta} w'(z).  The lower chart is u_- = f w at
+    z = 1/zeta, f = exp(F) (z/rho)^k the multiplier of the log-scale field
+    F: it is sampled on the circles |z| = 1/|zeta| at the angles of z and
+    reindexed to the zeta angle, and d/d|zeta| = -|z|^2 d/dr with
+    d/dr f = f (d/dr F + k/r).
+    """
+    radii, weights = gauss_legendre_radial(nr)
+    ph = np.exp(1j * sp.angles(m_res))[None, :]
+    if side > 0:
+        z = rho * radii[:, None] * ph
+        dy = np.stack(curve.derivative_components(z))
+        dy *= ph
+        return rho * radii, rho * weights, np.stack(curve.components(z)), dy
+    zeta_r = radii / rho
+    zr = 1.0 / zeta_r
+    z = zr[:, None] * ph
+    f = f_log.multiplier_samples(zr)
+    df = f * (f_log.radial_derivative(zr)
+              + f_log.puncture_pole_order / zr[:, None])
+    flip = (-np.arange(m_res)) % m_res
+    y = np.empty((2, nr, m_res), complex)
+    dy = np.empty_like(y)
+    for k, (w, dw) in enumerate(zip(curve.components(z),
+                                    curve.derivative_components(z))):
+        # the multiplier stays the first operand, which decides the
+        # rounding of the product
+        y[k] = (f * w)[:, flip]
+        dy[k] = (df * w + f * (ph * dw))[:, flip]
+    over = np.max(np.sqrt(np.abs(y[0]) ** 2 + np.abs(y[1]) ** 2))
+    if over > 1.0 + LOWER_BALL_TOL:
+        raise VerificationError(
+            f"|f w| exceeds 1 on the lower domain (max {over:.6f}); "
+            "the curve leaves the lower hemisphere")
+    dy *= -(zr ** 2)[:, None]
+    return zeta_r, weights / rho, y, dy
+
+
 def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
                        nr: int = 0) -> FoldedMapBundle:
     """Build a degree-d folded holomorphic map from a plane curve.
@@ -528,12 +575,10 @@ def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
     # Fubini-Study derivative of the projected curve)
     near = vp.ring_u <= 1.0
     zz = rho * np.exp(vp.ring_u[near])[:, None] * np.exp(1j * th)[None, :]
-    w_near = curve.eval(zz)
-    dw_near = curve.eval_derivative(zz)
-    num = np.abs(w_near[..., 0] * dw_near[..., 1]
-                 - w_near[..., 1] * dw_near[..., 0]) * np.abs(zz)
-    den = np.sum(np.abs(w_near) ** 2, axis=-1)
-    fs = num / den
+    p, q = curve.components(zz)
+    dp, dq = curve.derivative_components(zz)
+    fs = (np.abs(p * dq - q * dp) * np.abs(zz)
+          / (np.abs(p) ** 2 + np.abs(q) ** 2))
     if float(np.min(fs)) < CONFIG.tol.immersion_floor:
         raise NonImmersedBoundaryError(
             f"pi_F dw degenerates near the fold (min {np.min(fs):.3e})")
@@ -546,24 +591,11 @@ def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
     f_log = solve_f_degree_d(BoundaryLoopSamples(data, rho),
                              x.point(t_marker), x, d)
 
-    # grids: upper side on the fold disk, lower side in zeta = 1/z
-    radii, weights = gauss_legendre_radial(nr)
-    z_plus = rho * radii[:, None] * np.exp(1j * th)[None, :]
-    chart_p = ChartGrid(rho * radii, rho * weights, curve.eval(z_plus))
-
-    zeta_r = radii / rho
-    zr = 1.0 / zeta_r
-    # u_-(z) = f(z) w(z) in chart coordinates on the circles |z| = zr,
-    # sampled at the angles of z and reindexed to the zeta angle
-    y_minus = (f_log.multiplier_samples(zr)[..., None]
-               * curve.eval(zr[:, None] * np.exp(1j * th)[None, :])
-               )[:, (-np.arange(m_res)) % m_res]
-    over = np.max(np.sqrt(np.sum(np.abs(y_minus) ** 2, axis=2)))
-    if over > 1.0 + 1e-8:
-        raise VerificationError(
-            f"|f w| exceeds 1 on the lower domain (max {over:.6f}); "
-            "the curve leaves the lower hemisphere")
-    chart_m = ChartGrid(zeta_r, weights / rho, y_minus)
+    # charts and their energies: upper side on the fold disk, lower side
+    # in zeta = 1/z
+    (chart_p, e_up), (chart_m, e_um) = both(
+        lambda side: _chart(*_curve_planes(curve, f_log, rho, m_res, nr,
+                                           side)), 1, -1)
 
     # tunneling map v_- = projection of f w on the ladder of v_+
     radii_v = vp.radii()
@@ -575,8 +607,8 @@ def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
     boundary_plus = curve.eval(rho * np.exp(1j * th))
     # parametrized by the sigma angle theta
     boundary_minus = f_log.multiplier_samples()[:, None] * boundary_plus
-    return _assemble(chart_p, chart_m, boundary_plus, boundary_minus, vp, vm,
-                     1.0, f"degree{d}(curve)")
+    return _assemble(chart_p, chart_m, (e_up, e_um), boundary_plus,
+                     boundary_minus, vp, vm, 1.0, f"degree{d}(curve)")
 
 
 # ---------------------------------------------------------------------------

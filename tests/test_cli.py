@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -427,3 +428,29 @@ def test_error_on_the_pooled_side_keeps_its_exit_code(tmp_path, capsys,
     assert run(["degree1", "--c", "0.3", "--resolution", "64",
                 "--out", str(tmp_path / "r.json")]) == cli.EXIT_INPUT
     assert capsys.readouterr().err == "input error: minus side rejected\n"
+
+
+def test_lower_ball_violation_is_a_verification_error(tmp_path, capsys,
+                                                      monkeypatch):
+    # a multiplier twice too large puts |f w| above 1 on the lower chart,
+    # which is built on the pooled side thread
+    from foldedmaps import harmonic
+
+    threads = []
+    samples = harmonic.LaurentField.multiplier_samples
+
+    def doubled(self, r=None):
+        threads.append(threading.current_thread().name)
+        return 2.0 * samples(self, r)
+
+    monkeypatch.setattr(harmonic.LaurentField, "multiplier_samples", doubled)
+    curve = _curve_file(tmp_path, [0, 0, 0.8], [0.6])
+    capsys.readouterr()
+    assert run(["degree-d", "--curve", curve, "--resolution", "64",
+                "--out", str(tmp_path / "r.json")]) == cli.EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert err.startswith("verification error: |f w| exceeds 1 on the "
+                          "lower domain")
+    assert "Traceback" not in err
+    assert threads and threads[0].startswith("foldedmaps-side")
+    assert not (tmp_path / "r.json").exists()

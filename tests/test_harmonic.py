@@ -341,3 +341,77 @@ def test_radius_array_domain_checks():
     g = H.LaurentField(H.ExteriorPunctured(1.0), _decaying_coeffs(0.5))
     with pytest.raises(DomainError):
         g.multiplier_samples(np.array([2.0, 0.5]))
+
+
+# ---------------------------------------------------------------------------
+# radial derivative
+
+# fields h(r, theta) with their analytic d/dr, and radii inside the domain
+_KNOWN_FIELDS = {
+    "disk": (
+        H.Disk(1.5),
+        lambda r, t: r ** 3 * np.exp(3j * t) + 0.5 * r ** 2 * np.exp(-2j * t)
+        + 0.2,
+        lambda r, t: 3 * r ** 2 * np.exp(3j * t) + r * np.exp(-2j * t),
+        np.linspace(0.05, 1.45, 8)),
+    "exterior": (
+        H.ExteriorPunctured(1.3),
+        lambda r, t: np.exp(-2j * t) / r ** 2 + 0.3 * np.exp(1j * t) / r
+        + 0.7,
+        lambda r, t: -2 * np.exp(-2j * t) / r ** 3
+        - 0.3 * np.exp(1j * t) / r ** 2,
+        1.3 * np.exp(np.linspace(0.01, 3.0, 8))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KNOWN_FIELDS))
+@pytest.mark.parametrize("pole", [0, -4])
+def test_radial_derivative_of_known_field(name, pole):
+    kind, h, dh, radii = _KNOWN_FIELDS[name]
+    rho = kind.rho
+    coeffs = H.solve_dirichlet(H.BoundaryLoopSamples(h(rho, TH), rho),
+                               kind).coeffs
+    f = H.LaurentField(kind, coeffs, pole)
+    for r in radii:
+        d = f.radial_derivative(r)
+        assert np.max(np.abs(d - dh(r, TH))) < 1e-12
+        eps = 1e-5 * r
+        centred = (f.trace(r + eps) - f.trace(r - eps)) / (2 * eps)
+        assert np.max(np.abs(d - centred)) < 1e-8
+        # the multiplier exp(F) (r/rho)^k e^{ik theta} has d/dr
+        # exp(F) (r/rho)^k e^{ik theta} (dF/dr + k/r)
+        dmult = f.multiplier_samples(r) * (d + pole / r)
+        centred = (f.multiplier_samples(r + eps)
+                   - f.multiplier_samples(r - eps)) / (2 * eps)
+        assert np.max(np.abs(dmult - centred)) \
+            < 1e-8 * max(1.0, float(np.max(np.abs(dmult))))
+
+
+@pytest.mark.parametrize("kind, radii", [
+    (H.Disk(1.5), np.linspace(0.05, 1.5, 41)),
+    (H.ExteriorPunctured(1.3), 1.3 * np.exp(np.arange(0.0, 8.02, 0.04))),
+])
+@pytest.mark.parametrize("pole", [0, -6])
+def test_radial_derivative_radius_array_matches_per_radius_stack(kind, radii,
+                                                                 pole):
+    f = H.LaurentField(kind, _decaying_coeffs(0.8), pole)
+    d = f.radial_derivative(radii)
+    assert d.shape == (len(radii), M)
+    assert d.tobytes() == \
+        np.stack([f.radial_derivative(r) for r in radii]).tobytes()
+    assert f.radial_derivative().tobytes() == \
+        f.radial_derivative(f.boundary_radius()).tobytes()
+
+
+def test_radial_derivative_domain_checks():
+    c = _decaying_coeffs(0.5)
+    with pytest.raises(DomainError):
+        H.LaurentField(H.Annulus(0.5, 2.0), np.stack([c, c])
+                       ).radial_derivative(1.0)
+    with pytest.raises(DomainError):
+        H.LaurentField(H.Disk(1.0), c).radial_derivative(np.array([0.5, 1.5]))
+    with pytest.raises(DomainError):
+        H.LaurentField(H.Disk(1.0), c).radial_derivative(0.0)
+    with pytest.raises(DomainError):
+        H.LaurentField(H.ExteriorPunctured(1.0), c).radial_derivative(
+            np.array([2.0, 0.5]))

@@ -382,6 +382,83 @@ def test_v_minus_matches_direct_laurent_sum(d):
     assert np.max(np.abs(bundle.pair.v_minus.rings - direct.rings)) < 1e-13
 
 
+def _capture_f_log(monkeypatch):
+    # the normalization fields solved by the constructions that follow
+    fields = []
+    solve = Mo.solve_f_degree_d
+    monkeypatch.setattr(Mo, "solve_f_degree_d",
+                        lambda *args: fields.append(solve(*args))
+                        or fields[-1])
+    return fields
+
+
+@pytest.mark.parametrize("m_res", [128, 256])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_degree_d_chart_energies_and_values(d, m_res, monkeypatch):
+    m = np.exp(0.9j * d)
+    c = 0.4 * np.exp(1.3j * d)
+    curve = Mo.CurveInput(np.r_[np.zeros(d), np.sqrt(1 - abs(c) ** 2) * m],
+                          np.array([m * c]), m)
+    fields = _capture_f_log(monkeypatch)
+    bundle = Mo.construct_degree_d(curve, m, m_res)
+    f_log, = fields
+    rho, nr = f_log.kind.rho, len(bundle.chart_plus.radii)
+    th = sp.angles(m_res)
+    for chart, key in ((bundle.chart_plus, "E_u_plus"),
+                       (bundle.chart_minus, "E_u_minus")):
+        assert np.moveaxis(chart.values, -1, 0).flags.c_contiguous
+        # the energy from exact d/dr against the barycentric reference
+        ref = S.omega_energy(S.grid_from_chart(chart.values, chart.radii,
+                                               chart.weights))
+        assert abs(bundle.energies[key] - ref) <= 1e-12 * abs(ref)
+    # the chart values of the construction before it took exact d/dr
+    radii, _ = S.gauss_legendre_radial(nr)
+    z_plus = rho * radii[:, None] * np.exp(1j * th)[None, :]
+    assert bundle.chart_plus.values.tobytes() == \
+        np.ascontiguousarray(curve.eval(z_plus)).tobytes()
+    zr = 1.0 / (radii / rho)
+    y_minus = (f_log.multiplier_samples(zr)[..., None]
+               * curve.eval(zr[:, None] * np.exp(1j * th)[None, :])
+               )[:, (-np.arange(m_res)) % m_res]
+    assert bundle.chart_minus.values.tobytes() == \
+        np.ascontiguousarray(y_minus).tobytes()
+
+
+def test_lower_chart_derivative_follows_a_varying_multiplier():
+    # the curves tried give a nearly constant normalization field (its
+    # non-constant modes at most 1e-9), so the lower chart's d/dr term in
+    # dF/dr is checked on a field with modes -1 and -2; Re F < 0 on the
+    # fold keeps |f w| below 1
+    m = np.exp(0.9j)
+    curve = Mo.CurveInput(np.array([0, 0, np.sqrt(0.84) * m]),
+                          np.array([0.4 * m]), m)
+    rho = Mo.find_circular_fold(curve)
+    n = sp.modes(M_RES)
+    coeffs = np.zeros(M_RES, complex)
+    coeffs[0] = -0.05 + 0.3j
+    coeffs[n == -1] = 0.02
+    coeffs[n == -2] = 0.01j
+    f_log = H.LaurentField(H.ExteriorPunctured(rho), coeffs, -4)
+    chart, energy = Mo._chart(*Mo._curve_planes(curve, f_log, rho, M_RES,
+                                                NR, -1))
+    ref = S.omega_energy(S.grid_from_chart(chart.values, chart.radii,
+                                           chart.weights))
+    assert abs(energy - ref) <= 1e-12 * abs(ref)
+
+
+def test_constructions_make_no_barycentric_energy_call(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("chart energies take exact radial derivatives")
+
+    monkeypatch.setattr(S, "omega_energy", forbidden)
+    monkeypatch.setattr(S, "_barycentric_diff_matrix", forbidden)
+    b1 = small_family(0.3 + 0.2j, np.exp(0.5j))
+    assert abs(b1.energies["E_u_plus"] - (1 - abs(0.3 + 0.2j) ** 2)) < 1e-12
+    curve = Mo.CurveInput(np.array([0, 0, 0.8]), np.array([0.6]), 1.0)
+    bd = Mo.construct_degree_d(curve, 1.0, M_RES, NR)
+    assert Mo.verify_folded_holomorphic(bd).passed()
+
+
 def _reference_fold_radius(curve, m_probe=512):
     # the full 200-step bisection the early stop must reproduce exactly
     th = 2 * np.pi * np.arange(m_probe) / m_probe

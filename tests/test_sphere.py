@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -352,8 +354,10 @@ def test_barycentric_diff_matrix_differentiates_polynomials():
                                   (0.85j, np.exp(-1.1j))])
 def test_omega_energy_barycentric_matches_exact_derivative(c, m):
     from foldedmaps import moduli as Mo
-    for chart in [Mo._family_chart(c, m, 128, 128, s) for s in (1, -1)]:
-        exact = chart.to_equator_grid()
+    for side in (1, -1):
+        radii, weights, y, dy = Mo._family_planes(c, m, 128, 128, side)
+        exact = S.grid_from_chart(np.moveaxis(y, 0, -1), radii, weights,
+                                  np.moveaxis(dy, 0, -1))
         assert exact.dvalues_dr is not None
         grid = S.PolarMapGrid(exact.radii, exact.weights, exact.values)
         energy = S.omega_energy(grid)
@@ -398,28 +402,57 @@ def _reference_grid_energy(y, radii, weights, dy=None):
     return vals, dvr, float(np.dot(weights, ring_integrals))
 
 
-@pytest.mark.parametrize("degree", [1, 3])
-def test_plane_grid_kernels_match_reference(degree):
+def _chart_sides(degree, m_res, nr, monkeypatch):
+    """(chart, energy, exact d/dr planes) of both sides of a construction.
+
+    degree 1 is the degree-1 family; higher degrees the curve
+    (r0 m z^d, m c).  The energy is the one the construction integrated,
+    and the d/dr planes, which the charts do not keep, are rebuilt with
+    the construction's own `_family_planes` or `_curve_planes`.
+    """
     from foldedmaps import moduli as Mo
     c, m = 0.4 - 0.3j, np.exp(0.9j)
     if degree == 1:
-        charts = [Mo._family_chart(c, m, 128, 48, s) for s in (1, -1)]
-    else:
-        r0m = np.sqrt(1 - abs(c) ** 2) * m
-        curve = Mo.CurveInput(np.array([0] * degree + [r0m]),
-                              np.array([m * c]), m)
-        bundle = Mo.construct_degree_d(curve, m, 128, 48)
-        charts = (bundle.chart_plus, bundle.chart_minus)
-    for chart in charts:
-        grid = chart.to_equator_grid()
-        vals, dvr, energy = _reference_grid_energy(
-            chart.values, chart.radii, chart.weights, chart.dvalues_dr)
+        sides = []
+        for s in (1, -1):
+            radii, weights, y, dy = Mo._family_planes(c, m, m_res, nr, s)
+            sides.append(Mo._chart(radii, weights, y, dy) + (dy,))
+        return sides
+    r0m = np.sqrt(1 - abs(c) ** 2) * m
+    curve = Mo.CurveInput(np.array([0] * degree + [r0m]),
+                          np.array([m * c]), m)
+    fields = []
+    solve = Mo.solve_f_degree_d
+    monkeypatch.setattr(Mo, "solve_f_degree_d",
+                        lambda *args: fields.append(solve(*args))
+                        or fields[-1])
+    bundle = Mo.construct_degree_d(curve, m, m_res, nr)
+    f_log, = fields
+    return [(chart, bundle.energies[key],
+             Mo._curve_planes(curve, f_log, f_log.kind.rho, m_res, nr, s)[3])
+            for chart, key, s in ((bundle.chart_plus, "E_u_plus", 1),
+                                  (bundle.chart_minus, "E_u_minus", -1))]
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_plane_grid_kernels_match_reference(degree, monkeypatch):
+    for chart, energy, dy in _chart_sides(degree, 128, 48, monkeypatch):
+        # the exact radial derivatives the construction integrated
+        grid = S.grid_from_chart(chart.values, chart.radii, chart.weights,
+                                 np.moveaxis(dy, 0, -1))
+        vals, dvr, ref = _reference_grid_energy(
+            chart.values, chart.radii, chart.weights, np.moveaxis(dy, 0, -1))
+        assert grid.values.tobytes() == vals.tobytes()
+        assert np.ascontiguousarray(grid.dvalues_dr).tobytes() \
+            == dvr.tobytes()
+        assert S.omega_energy(grid) == ref == energy
+        # the barycentric derivative of the same values
+        grid = S.grid_from_chart(chart.values, chart.radii, chart.weights)
+        vals, dvr, ref = _reference_grid_energy(
+            chart.values, chart.radii, chart.weights)
         assert grid.values.tobytes() == vals.tobytes()
         assert (grid.dvalues_dr is None) == (dvr is None)
-        if dvr is not None:
-            assert np.ascontiguousarray(grid.dvalues_dr).tobytes() \
-                == dvr.tobytes()
-        assert S.omega_energy(grid) == energy
+        assert S.omega_energy(grid) == ref
 
 
 def _reference_holomorphy_residual(values, radii):
@@ -441,27 +474,20 @@ def _reference_holomorphy_residual(values, radii):
 @pytest.mark.parametrize("degree", [1, 3])
 @pytest.mark.parametrize("m_res, nr", [(2048, 44), (64, 48)],
                          ids=["blocks", "one-block"])
-def test_ring_block_chart_passes_match_full_arrays(degree, m_res, nr):
+def test_ring_block_chart_passes_match_full_arrays(degree, m_res, nr,
+                                                   monkeypatch):
     # M = 2048: blocks of 8 rings, the last one 4 rings long; M = 64: one
     # block of all the rings
-    from foldedmaps import moduli as Mo
-    c, m = 0.4 - 0.3j, np.exp(0.9j)
-    if degree == 1:
-        charts = [Mo._family_chart(c, m, m_res, nr, s) for s in (1, -1)]
-    else:
-        r0m = np.sqrt(1 - abs(c) ** 2) * m
-        curve = Mo.CurveInput(np.array([0] * degree + [r0m]),
-                              np.array([m * c]), m)
-        bundle = Mo.construct_degree_d(curve, m, m_res, nr)
-        charts = (bundle.chart_plus, bundle.chart_minus)
-    for chart in charts:
+    for chart, energy, dy in _chart_sides(degree, m_res, nr, monkeypatch):
         assert chart.holomorphy_residual() == _reference_holomorphy_residual(
             chart.values, chart.radii)
-        energy = _reference_grid_energy(chart.values, chart.radii,
-                                        chart.weights, chart.dvalues_dr)[2]
-        # degree-1 charts carry exact d/dr and take the ring-block pass
-        assert (chart.dvalues_dr is not None) == (degree == 1)
-        assert chart.omega_energy() == energy
+        # every chart's energy takes the ring-block pass over exact d/dr,
+        # which the chart does not keep
+        assert [f.name for f in dataclasses.fields(chart)] \
+            == ["radii", "weights", "values"]
+        assert energy == _reference_grid_energy(
+            chart.values, chart.radii, chart.weights,
+            np.moveaxis(dy, 0, -1))[2]
 
 
 def test_gauss_legendre_radial_is_cached_and_read_only():
