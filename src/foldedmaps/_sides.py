@@ -2,12 +2,19 @@
 
 The plus and minus sides (the hemisphere maps u_+/u_- and the tunneling
 maps v_+/v_-) are independent until the conjugacy step couples them on
-the fold.  `both` computes one side on a pooled thread while the caller
-computes the other; numpy's ufuncs and FFTs release the GIL, so the two
-halves overlap.  The pool has exactly one thread because a folded map
-has exactly two sides; it is created on first use, never at import.
-Both halves read the one process-wide `config.CONFIG`, which must not
-change while a call runs.
+the fold.  A run has three phases, each one `both` call: a construction
+builds each side's chart and tunneling map with their energies,
+`verify_folded_holomorphic` checks each side's chart, and
+`check_conjugate` returns each side's omega density and Hopf ratio.
+`both` computes one side on a pooled thread while the caller computes
+the other; numpy's ufuncs and FFTs release the GIL, so the two halves
+overlap.  The pool has exactly one thread because a folded map has
+exactly two sides; it is created on first use, never at import.  It is
+kept rather than started per call because `Thread.join` returns before
+the OS thread has handed back its malloc arena: with glibc, a thread
+started per call then often gets an arena of its own, and every arena
+keeps its own freed memory.  Both halves read the one process-wide
+`config.CONFIG`, which must not change while a call runs.
 """
 
 from __future__ import annotations

@@ -139,12 +139,10 @@ class FoldedMapBundle:
     Charts hold the two hemisphere maps in their ball coordinates (the
     lower side in the inverted coordinate of its disk); boundary loops are
     parametrized by the fold circle of the common domain.  Homology labels
-    are (characteristic, degree) per side.
+    are (characteristic, degree) per side; `m_res`, `x` and `degree` are
+    read off the tunneling map v_+.
     """
 
-    m_res: int
-    x: CharacteristicParam
-    degree: int
     psi_scale: float
     chart_plus: ChartGrid
     chart_minus: ChartGrid
@@ -153,6 +151,18 @@ class FoldedMapBundle:
     pair: ConjugatePair
     energies: dict[str, float]
     label: str = ""
+
+    @property
+    def m_res(self) -> int:
+        return self.pair.v_plus.m
+
+    @property
+    def x(self) -> CharacteristicParam:
+        return self.pair.v_plus.x
+
+    @property
+    def degree(self) -> int:
+        return self.pair.v_plus.degree
 
 
 @dataclass
@@ -269,22 +279,30 @@ def family_v_minus(c: complex, m: complex):
     return fn
 
 
-def _assemble(chart_p: ChartGrid, chart_m: ChartGrid,
-              chart_energies: tuple[float, float],
-              boundary_plus: np.ndarray, boundary_minus: np.ndarray,
-              vp: TunnelMapSample, vm: TunnelMapSample, psi_scale: float,
+def _side(chart: tuple[ChartGrid, float], v: TunnelMapSample
+          ) -> tuple[ChartGrid, float, TunnelMapSample, float]:
+    """One side's (chart grid, chart energy, tunneling map, its energy)."""
+    return (*chart, v, tunneling_omega_energy(v))
+
+
+def _assemble(sides: tuple[tuple, tuple], boundary_plus: np.ndarray,
+              boundary_minus: np.ndarray, psi_scale: float,
               label: str) -> FoldedMapBundle:
-    """Pair the tunneling maps, integrate their energies and bundle."""
-    e_up, e_um = chart_energies
-    e_vp, e_vm = both(tunneling_omega_energy, vp, vm)
+    """Pair the two sides' tunneling maps and bundle them with the charts."""
+    (chart_p, e_up, vp, e_vp), (chart_m, e_um, vm, e_vm) = sides
     energies = {"E_u_plus": e_up, "E_u_minus": e_um,
                 "E_v_plus": e_vp, "E_v_minus": e_vm}
     return FoldedMapBundle(
-        m_res=vp.m, x=vp.x, degree=vp.degree, psi_scale=psi_scale,
-        chart_plus=chart_p, chart_minus=chart_m,
+        psi_scale=psi_scale, chart_plus=chart_p, chart_minus=chart_m,
         boundary_plus=boundary_plus, boundary_minus=boundary_minus,
         pair=make_conjugate_pair(vp, vm, vp.x), energies=energies,
         label=label)
+
+
+def _check_family_c(c: complex) -> None:
+    if abs(c) > 0.99:
+        raise DomainError(
+            "|c| too close to 1; use compactification_sample for the limit")
 
 
 def degree1_family(param: ModuliParam, m_res: int,
@@ -295,9 +313,7 @@ def degree1_family(param: ModuliParam, m_res: int,
     the conjugate tunneling pair, and the domain rescaling.
     """
     c, m = param.c, param.m
-    if abs(c) > 0.99:
-        raise DomainError(
-            "|c| too close to 1; use compactification_sample for the limit")
+    _check_family_c(c)
     nr = nr or CONFIG.grid.radial_nodes
 
     r0 = np.sqrt(1.0 - abs(c) ** 2)
@@ -306,18 +322,18 @@ def degree1_family(param: ModuliParam, m_res: int,
 
     def sample_side(side):
         sign, v_fn = side
-        return (_chart(*_family_planes(c, m, m_res, nr, sign)),
-                sample_tunnel_map(v_fn, r0, m_res, x, sign))
+        return _side(_chart(*_family_planes(c, m, m_res, nr, sign)),
+                     sample_tunnel_map(v_fn, r0, m_res, x, sign))
 
-    ((chart_p, e_up), vp), ((chart_m, e_um), vm) = both(
-        sample_side, (1, family_v_plus(c, m)), (-1, family_v_minus(c, m)))
+    sides = both(sample_side, (1, family_v_plus(c, m)),
+                 (-1, family_v_minus(c, m)))
 
     boundary_plus = np.stack(
         [r0 * m * np.exp(1j * th), np.full(m_res, m * c)], axis=1)
     boundary_minus = np.stack(
         [r0 * m * np.exp(-1j * th), m * c * np.exp(-2j * th)], axis=1)
-    return _assemble(chart_p, chart_m, (e_up, e_um), boundary_plus,
-                     boundary_minus, vp, vm, r0, f"degree1(c={c!r}, m={m!r})")
+    return _assemble(sides, boundary_plus, boundary_minus, r0,
+                     f"degree1(c={c!r}, m={m!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +397,13 @@ def compactification_sample(c_values: np.ndarray, m: complex,
     mags = np.abs(c_values)
     phases = np.where(mags > 1e-12, c_values / np.where(mags > 0, mags, 1), 1.0)
     ray_phase = phases[np.argmax(mags)]
+    nr = nr or CONFIG.grid.radial_nodes
     rows = []
     for c in c_values:
-        bundle = degree1_family(ModuliParam(complex(c), m), m_res, nr)
-        ep = bundle.energies["E_u_plus"]
-        em = bundle.energies["E_u_minus"]
+        param = ModuliParam(complex(c), m)
+        _check_family_c(param.c)
+        _, ep = _chart(*_family_planes(param.c, param.m, m_res, nr, 1))
+        _, em = _chart(*_family_planes(param.c, param.m, m_res, nr, -1))
         limit = m * ray_phase
         label = f"(0,{limit.real:.12g}{limit.imag:+.12g}j)"
         rows.append(CompactificationRow(float(abs(c)), ep, em, ep + em, label))
@@ -591,24 +609,25 @@ def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
     f_log = solve_f_degree_d(BoundaryLoopSamples(data, rho),
                              x.point(t_marker), x, d)
 
-    # charts and their energies: upper side on the fold disk, lower side
-    # in zeta = 1/z
-    (chart_p, e_up), (chart_m, e_um) = both(
-        lambda side: _chart(*_curve_planes(curve, f_log, rho, m_res, nr,
-                                           side)), 1, -1)
+    def build_side(side):
+        # chart: upper side on the fold disk, lower side in zeta = 1/z
+        chart = _chart(*_curve_planes(curve, f_log, rho, m_res, nr, side))
+        if side > 0:
+            return _side(chart, vp)
+        # tunneling map v_- = projection of f w on the ladder of v_+
+        radii_v = vp.radii()
+        fw = np.stack(curve.components(
+            radii_v[:, None] * np.exp(1j * th)[None, :]))
+        np.multiply(f_log.multiplier_samples(radii_v), fw, out=fw)
+        return _side(chart, TunnelMapSample(rho, vp.ring_u, _unit(fw), x, -d))
 
-    # tunneling map v_- = projection of f w on the ladder of v_+
-    radii_v = vp.radii()
-    fw = np.stack(curve.components(
-        radii_v[:, None] * np.exp(1j * th)[None, :]))
-    np.multiply(f_log.multiplier_samples(radii_v), fw, out=fw)
-    vm = TunnelMapSample(rho, vp.ring_u, _unit(fw), x, -d)
+    sides = both(build_side, 1, -1)
 
     boundary_plus = curve.eval(rho * np.exp(1j * th))
     # parametrized by the sigma angle theta
     boundary_minus = f_log.multiplier_samples()[:, None] * boundary_plus
-    return _assemble(chart_p, chart_m, (e_up, e_um), boundary_plus,
-                     boundary_minus, vp, vm, 1.0, f"degree{d}(curve)")
+    return _assemble(sides, boundary_plus, boundary_minus, 1.0,
+                     f"degree{d}(curve)")
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,28 @@ def test_concurrent_callers_match_one_thread_multi_block():
     _check_concurrent_callers(1024, 40, 2)
 
 
+def test_each_op_makes_one_both_call_per_phase(monkeypatch, tmp_path):
+    # construction, chart checks and conjugacy check: one call each
+    calls = []
+
+    def counted(f, plus, minus):
+        calls.append(f)
+        return _sides.both(f, plus, minus)
+
+    monkeypatch.setattr(Mo, "both", counted)
+    monkeypatch.setattr(T, "both", counted)
+    out = str(tmp_path / "r.json")
+    assert cli.main(["degree1", "--c", "0.3", "--resolution", "64",
+                     "--out", out]) == cli.EXIT_PASS
+    assert len(calls) == 3
+    calls.clear()
+    c, m = 0.4 + 0.1j, np.exp(0.3j)
+    r0 = np.sqrt(1 - abs(c) ** 2)
+    curve = Mo.CurveInput(np.array([0, 0, 0, r0 * m]), np.array([m * c]), m)
+    Mo.verify_folded_holomorphic(Mo.construct_degree_d(curve, m, M_RES, NR))
+    assert len(calls) == 3
+
+
 def test_degree2_curve_passes():
     b = Mo.construct_degree_d(
         Mo.CurveInput(np.array([0, 0, 1.0]), np.array([0.3]), 1.0),

@@ -54,6 +54,24 @@ def test_nested_call_on_the_pooled_thread_runs_inline():
     assert sum(n.startswith("foldedmaps-side") for n in names) == 3
 
 
+def test_calls_reuse_one_side_thread():
+    # a thread started per call could get a malloc arena of its own, and
+    # every arena keeps its own freed memory
+    minus_threads = set()
+
+    def f(side):
+        if side == "minus":
+            minus_threads.add(threading.current_thread())
+        return side
+
+    _sides.both(f, "plus", "minus")
+    count = threading.active_count()
+    for _ in range(5):
+        assert _sides.both(f, "plus", "minus") == ("plus", "minus")
+        assert threading.active_count() == count
+    assert len(minus_threads) == 1
+
+
 def test_error_of_plus_side_waits_for_the_minus_side():
     finished = threading.Event()
 
