@@ -25,8 +25,9 @@ from .sphere import (CharacteristicParam, FoldPoint, ProjectivePoint,
                      _block_rings, chart_omega_energy, gauss_legendre_radial,
                      hopf_project)
 from .tunneling import (ConjugacyReport, ConjugatePair, TunnelMapSample,
-                        check_conjugate, fold_data, make_conjugate_pair,
-                        sample_tunnel_map, tunneling_omega_energy)
+                        check_conjugate, default_ring_u, fold_data,
+                        make_conjugate_pair, sample_tunnel_map,
+                        tunneling_omega_energy)
 
 TWO_PI = 2.0 * np.pi
 # tag of the reports written by bundle_report and the CLI
@@ -208,11 +209,13 @@ def _chart(radii: np.ndarray, weights: np.ndarray, y: np.ndarray,
            dy: np.ndarray) -> tuple[ChartGrid, float]:
     """A side's chart grid of (2, nr, M) value planes y, and its energy.
 
-    The omega energy is integrated from the exact radial derivative
-    planes dy, which the grid does not keep.
+    The omega energy is the closed-form holomorphic density of
+    `chart_omega_energy`, integrated from the exact radial derivative
+    planes dy, which the grid does not keep.  Every chart of both
+    constructions is holomorphic in its sample coordinate.
     """
     return (ChartGrid(radii, weights, np.moveaxis(y, 0, -1)),
-            chart_omega_energy(y, dy, weights))
+            chart_omega_energy(y, dy, radii, weights))
 
 
 def _family_planes(c: complex, m: complex, m_res: int, nr: int, side: int
@@ -220,26 +223,25 @@ def _family_planes(c: complex, m: complex, m_res: int, nr: int, side: int
     """Radii, weights and the (2, nr, M) value and exact d/dr planes of
     one side's chart in the degree-1 family.
 
-    The lower side (side -1) is sampled in the inverted coordinate
-    zeta = 1/z.
+    The upper chart is (r0 m z, m c) and the lower one, in the inverted
+    coordinate zeta = 1/z, is (r0 m zeta, m c zeta^2).  Each plane is the
+    outer product of a per-ring real and a per-angle phase; e^{2i theta_k}
+    is the sampled e^{i theta} read at the exact index 2k mod M.
     """
     r0 = np.sqrt(1.0 - abs(c) ** 2)
     radii, weights = gauss_legendre_radial(nr)
-    ph = np.exp(1j * sp.angles(m_res))[None, :]
-    z = radii[:, None] * ph
+    ph = np.exp(1j * sp.angles(m_res))
     y = np.empty((2, nr, m_res), complex)
     dy = np.empty_like(y)
-    np.multiply(r0 * m, z, out=y[0])
+    np.multiply(radii[:, None], r0 * m * ph, out=y[0])
     dy[0] = r0 * m * ph
     if side > 0:
         y[1] = m * c
         dy[1] = 0.0
     else:
-        # kept as one expression: numpy may reuse the z ** 2 temporary as
-        # the product's first operand, which decides its rounding
-        y[1] = m * c * z ** 2
-        np.multiply(2 * m * c, z, out=dy[1])
-        dy[1] *= ph
+        ph2 = m * c * ph[2 * np.arange(m_res) % m_res]
+        np.multiply((radii * radii)[:, None], ph2, out=y[1])
+        np.multiply((2.0 * radii)[:, None], ph2, out=dy[1])
     return radii, weights, y, dy
 
 
@@ -261,22 +263,32 @@ def _unit(planes: np.ndarray) -> np.ndarray:
     return np.moveaxis(planes, 0, -1)
 
 
-def family_v_plus(c: complex, m: complex):
-    def fn(z):
-        planes = np.empty((2,) + z.shape, complex)
-        np.multiply(m, z, out=planes[0])
-        planes[1] = m * c
-        return _unit(planes)
-    return fn
+def _family_ladder(c: complex, m: complex, m_res: int,
+                   side: int) -> TunnelMapSample:
+    """One side's tunneling map of the degree-1 family on the default ladder.
 
-
-def family_v_minus(c: complex, m: complex):
-    def fn(z):
-        planes = np.empty((2,) + z.shape, complex)
-        np.divide(m, z, out=planes[0])
-        np.divide(m * c, z ** 2, out=planes[1])
-        return _unit(planes)
-    return fn
+    With r = r0 e^u and s = sqrt(r^2 + |c|^2),
+    v_+ = (m e^{i theta} r/s, m c/s) and
+    v_- = (m e^{-i theta} r/s, m c e^{-2i theta}/s), so each (R, M) plane
+    is written as the outer product of a per-ring real and a per-angle
+    phase.  e^{-i theta_k} and e^{-2i theta_k} are the sampled
+    e^{i theta} read at the exact indices (-k) mod M and (-2k) mod M.
+    """
+    r0 = np.sqrt(1.0 - abs(c) ** 2)
+    ring_u = default_ring_u()
+    r = r0 * np.exp(ring_u)
+    s = np.sqrt(r * r + abs(c) ** 2)
+    ph = np.exp(1j * sp.angles(m_res))
+    if side > 0:
+        ph0, ph1 = ph, np.ones(m_res)
+    else:
+        k = np.arange(m_res)
+        ph0, ph1 = ph[-k % m_res], ph[-2 * k % m_res]
+    planes = np.empty((2, len(r), m_res), complex)
+    np.multiply((r / s)[:, None], m * ph0, out=planes[0])
+    np.multiply((1.0 / s)[:, None], m * c * ph1, out=planes[1])
+    return TunnelMapSample(r0, ring_u, np.moveaxis(planes, 0, -1),
+                           CharacteristicParam(m), side)
 
 
 def _side(chart: tuple[ChartGrid, float], v: TunnelMapSample
@@ -299,10 +311,14 @@ def _assemble(sides: tuple[tuple, tuple], boundary_plus: np.ndarray,
         label=label)
 
 
+# the largest |c| the degree-1 family is sampled at
+FAMILY_C_MAX = 0.99
+
+
 def _check_family_c(c: complex) -> None:
-    if abs(c) > 0.99:
-        raise DomainError(
-            "|c| too close to 1; use compactification_sample for the limit")
+    if abs(c) > FAMILY_C_MAX:
+        raise DomainError(f"|c| = {abs(c)!r} is above {FAMILY_C_MAX}, the "
+                          "largest |c| the degree-1 family is sampled at")
 
 
 def degree1_family(param: ModuliParam, m_res: int,
@@ -318,15 +334,12 @@ def degree1_family(param: ModuliParam, m_res: int,
 
     r0 = np.sqrt(1.0 - abs(c) ** 2)
     th = sp.angles(m_res)
-    x = CharacteristicParam(m)
 
     def sample_side(side):
-        sign, v_fn = side
-        return _side(_chart(*_family_planes(c, m, m_res, nr, sign)),
-                     sample_tunnel_map(v_fn, r0, m_res, x, sign))
+        return _side(_chart(*_family_planes(c, m, m_res, nr, side)),
+                     _family_ladder(c, m, m_res, side))
 
-    sides = both(sample_side, (1, family_v_plus(c, m)),
-                 (-1, family_v_minus(c, m)))
+    sides = both(sample_side, 1, -1)
 
     boundary_plus = np.stack(
         [r0 * m * np.exp(1j * th), np.full(m_res, m * c)], axis=1)

@@ -498,20 +498,33 @@ def omega_energy(grid: PolarMapGrid) -> float:
     return float(np.dot(grid.weights, _ring_integrals(dr, dt)))
 
 
-def chart_omega_energy(y: np.ndarray, dy: np.ndarray,
+def chart_omega_energy(y: np.ndarray, dy: np.ndarray, radii: np.ndarray,
                        weights: np.ndarray) -> float:
-    """omega_energy of grid_from_chart(y, radii, weights, dy), bit for bit.
+    """Omega energy of a chart that is holomorphic in its sample coordinate.
 
     y and dy are (2, nr, M) planes of ball-chart samples and their exact
-    radial derivatives.  One pass over blocks of `_block_rings` rings maps
-    each block to the equator, differentiates it in the angle and
-    integrates its rings, so no grid-sized temporary is built.
+    radial derivatives at the given radii.  The chart must be holomorphic
+    in the coordinate r e^{i theta} it is sampled in, which
+    `ChartGrid.holomorphy_residual` certifies: then d/dtheta y = i r dy,
+    and the omega density Im<d_r Pi(y), d_theta Pi(y)> / pi of the
+    equator map Pi(y) = 2 y / d, d = 1 + |y|^2, is the closed form
+    r (4 |dy|^2 / d^2 - 8 |<y, dy>|^2 / d^3) / pi.  One pass over blocks
+    of `_block_rings` rings integrates it ring by ring, with no equator
+    map, no d/dtheta and no grid-sized temporary.  A chart that is not
+    holomorphic needs `omega_energy`.
     """
     nr, m = y.shape[1:]
     rings = np.empty(nr)
     step = _block_rings(16 * m)
     for i0 in range(0, nr, step):
-        vals, dvals = _equator_planes(y[:, i0:i0 + step], dy[:, i0:i0 + step])
-        rings[i0:i0 + step] = _ring_integrals(
-            dvals, sp.theta_derivative(vals, axis=-1))
-    return float(np.dot(np.asarray(weights, float), rings))
+        y0, y1 = y[:, i0:i0 + step]
+        dy0, dy1 = dy[:, i0:i0 + step]
+        d = 1.0 + np.abs(y0) ** 2 + np.abs(y1) ** 2
+        inner = np.conj(y0) * dy0 + np.conj(y1) * dy1
+        # (|dy|^2 - 2 |<y, dy>|^2 / d) / d^2
+        density = (np.abs(dy0) ** 2 + np.abs(dy1) ** 2
+                   - 2.0 * np.abs(inner) ** 2 / d) / (d * d)
+        rings[i0:i0 + step] = np.sum(density, axis=-1)
+    # ring integral: (2 pi / M) * r * (4 / pi) * the sum over the angles
+    rings *= radii
+    return float(np.dot(np.asarray(weights, float), rings)) * (8.0 / m)

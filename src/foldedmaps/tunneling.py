@@ -74,9 +74,14 @@ class TunnelMapSample:
             raise DomainError("ring ladder shape mismatch")
         if np.any(np.diff(self.ring_u) <= 0):
             raise DomainError("ring radii must be strictly increasing")
-        norms = np.abs(self.planes[0]) ** 2 + np.abs(self.planes[1]) ** 2
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
-            raise DomainError("ring samples must lie on S^3")
+        # swept in ring blocks, so the norm temporaries stay block-sized
+        a, b = self.planes
+        step = _block_rings(a[0].nbytes)
+        for i0 in range(0, len(a), step):
+            norms = (np.abs(a[i0:i0 + step]) ** 2
+                     + np.abs(b[i0:i0 + step]) ** 2)
+            if np.max(np.abs(norms - 1.0)) > 1e-9:
+                raise DomainError("ring samples must lie on S^3")
 
     @property
     def m(self) -> int:

@@ -124,9 +124,8 @@ def test_criterion_06_conjugate_partner_oracle():
         c = RNG.uniform(0.05, 0.9) * np.exp(2j * np.pi * RNG.uniform())
         m = np.exp(2j * np.pi * RNG.uniform())
         x = CharacteristicParam(m)
-        r0 = np.sqrt(1 - abs(c) ** 2)
-        vp = T.sample_tunnel_map(Mo.family_v_plus(c, m), r0, M_FULL, x, 1)
-        vm_closed = T.sample_tunnel_map(Mo.family_v_minus(c, m), r0, M_FULL, x, -1)
+        vp = Mo._family_ladder(c, m, M_FULL, 1)
+        vm_closed = Mo._family_ladder(c, m, M_FULL, -1)
         built = T.conjugate_partner(vp, x)
         worst = max(worst, float(np.max(np.abs(built.rings - vm_closed.rings))))
     ok = worst < 1e-7

@@ -418,16 +418,22 @@ def test_error_on_the_pooled_side_keeps_its_exit_code(tmp_path, capsys,
     from foldedmaps import moduli
     from foldedmaps.errors import DomainError
 
-    def failing_v_minus(c, m):
-        def fn(z):
-            raise DomainError("minus side rejected")
-        return fn
+    threads = []
+    ladder = moduli._family_ladder
 
-    monkeypatch.setattr(moduli, "family_v_minus", failing_v_minus)
+    def failing_minus_ladder(c, m, m_res, side):
+        if side < 0:
+            threads.append(threading.current_thread().name)
+            raise DomainError("minus side rejected")
+        return ladder(c, m, m_res, side)
+
+    monkeypatch.setattr(moduli, "_family_ladder", failing_minus_ladder)
     capsys.readouterr()
     assert run(["degree1", "--c", "0.3", "--resolution", "64",
                 "--out", str(tmp_path / "r.json")]) == cli.EXIT_INPUT
     assert capsys.readouterr().err == "input error: minus side rejected\n"
+    assert threads and threads[0].startswith("foldedmaps-side")
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_lower_ball_violation_is_a_verification_error(tmp_path, capsys,

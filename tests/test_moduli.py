@@ -53,6 +53,37 @@ def test_param_validation():
         Mo.degree1_family(Mo.ModuliParam(0.995, 1.0), M_RES, NR)
 
 
+def test_family_c_bound_message_names_the_bound():
+    # both samplers of the family reject |c| > 0.99 with a message that
+    # names the bound and the given |c|, not another entry point
+    for call in (lambda: Mo.degree1_family(Mo.ModuliParam(0.995, 1.0),
+                                           M_RES, NR),
+                 lambda: Mo.compactification_sample([0.5, 0.995], 1.0,
+                                                    64, 16)):
+        with pytest.raises(DomainError) as info:
+            call()
+        message = str(info.value)
+        assert "0.99," in message and "0.995" in message
+        assert "compactification_sample" not in message
+
+
+@pytest.mark.parametrize("c", [0.3 + 0.2j, 0.7 - 0.1j, 0.95j])
+def test_family_chart_energies_converge_under_refinement(c):
+    # each doubling of the radial Gauss nodes cuts the error of E_u+- in
+    # 1 -+ |c|^2 by at least 100x, down to a round-off plateau
+    m = np.exp(0.7j)
+    errors = {key: [] for key in ("E_u_plus", "E_u_minus")}
+    for nr in (4, 8, 16):
+        energies = Mo.degree1_family(Mo.ModuliParam(c, m), 64, nr).energies
+        for key, side in (("E_u_plus", 1), ("E_u_minus", -1)):
+            errors[key].append(abs(energies[key] - (1 - side * abs(c) ** 2)))
+    for errs in errors.values():
+        assert errs[0] > 1e-10
+        for coarse, fine in zip(errs, errs[1:]):
+            assert fine <= max(coarse / 100, 1e-14)
+        assert errs[-1] <= 1e-14
+
+
 def test_family_c0_boundary_is_characteristic():
     b = small_family(0.0, 1.0)
     th = np.arange(M_RES) * 2 * np.pi / M_RES
@@ -236,22 +267,37 @@ def test_degree1_oracle_equivalence():
 
 
 def test_samples_are_normalized_planes():
-    # the sampled maps are the (..., 2) views of their component planes,
+    # the degree-1 ladders are unit planes within 4 ulp of the closed form
+    # w / |w|, evaluated in extended precision at the exact angles
+    # 2 pi k / M; the curve's ladder is the (..., 2) view of its planes,
     # equal bit for bit to normalizing the interleaved values by their norm
-    c, m = 0.45 + 0.3j, np.exp(0.7j)
+    eps = np.finfo(float).eps
+    # where long double is double, the reference carries its own round-off
+    tol = 4 * eps + 64 * np.finfo(np.longdouble).eps
+    c, m, m_res = 0.45 + 0.3j, np.exp(0.7j), 64
+    theta = 2 * np.arccos(np.longdouble(-1)) * np.arange(m_res) / m_res
+    for side in (1, -1):
+        v = Mo._family_ladder(c, m, m_res, side)
+        assert np.shares_memory(v.planes, v.rings)
+        z = (np.longdouble(v.rho) * np.exp(v.ring_u.astype(np.longdouble))
+             )[:, None] * np.exp(1j * theta)[None, :]
+        mm, cc = np.clongdouble(m), np.clongdouble(c)
+        w = (np.stack([mm * z, np.full_like(z, mm * cc)], axis=-1)
+             if side > 0 else np.stack([mm / z, mm * cc / z ** 2], axis=-1))
+        expected = w / np.sqrt(np.sum(np.abs(w) ** 2, axis=-1,
+                                      keepdims=True))
+        assert float(np.max(np.abs(v.rings - expected))) <= tol
+        norms = np.linalg.norm(v.rings, axis=-1)
+        assert float(np.max(np.abs(norms - 1.0))) <= 4 * eps
     u = T.default_ring_u()
     z = 0.8 * np.exp(u)[:, None] * np.exp(1j * sp.angles(64))[None, :]
     curve = Mo.CurveInput(np.array([0.1, 0.0, 0.9 * m]), np.array([m * c]), m)
-    cases = [(Mo.family_v_plus(c, m)(z),
-              np.stack([m * z, np.full_like(z, m * c)], axis=-1)),
-             (Mo.family_v_minus(c, m)(z),
-              np.stack([m / z, m * c / z ** 2], axis=-1)),
-             (Mo._unit(np.stack(curve.components(z))), curve.eval(z))]
-    for vals, w in cases:
-        expected = w / np.linalg.norm(w, axis=-1, keepdims=True)
-        assert np.ascontiguousarray(vals).tobytes() == expected.tobytes()
-        v = T.TunnelMapSample(0.8, u, vals, S.CharacteristicParam(m), 1)
-        assert np.shares_memory(v.planes, vals)
+    vals = Mo._unit(np.stack(curve.components(z)))
+    w = curve.eval(z)
+    expected = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    assert np.ascontiguousarray(vals).tobytes() == expected.tobytes()
+    v = T.TunnelMapSample(0.8, u, vals, S.CharacteristicParam(m), 1)
+    assert np.shares_memory(v.planes, vals)
 
 
 def _report_text(build):

@@ -8,6 +8,7 @@ from foldedmaps import _spectral as sp
 from foldedmaps.errors import DomainError
 
 RNG = np.random.default_rng(20240811)
+EPS = np.finfo(float).eps
 
 
 def random_fold_point(rng=RNG):
@@ -410,14 +411,23 @@ def _chart_sides(degree, m_res, nr, monkeypatch):
     and the d/dr planes, which the charts do not keep, are rebuilt with
     the construction's own `_family_planes` or `_curve_planes`.
     """
-    from foldedmaps import moduli as Mo
-    c, m = 0.4 - 0.3j, np.exp(0.9j)
     if degree == 1:
-        sides = []
-        for s in (1, -1):
-            radii, weights, y, dy = Mo._family_planes(c, m, m_res, nr, s)
-            sides.append(Mo._chart(radii, weights, y, dy) + (dy,))
-        return sides
+        return _family_chart_sides(m_res, nr)
+    return _curve_chart_sides(degree, m_res, nr, monkeypatch)
+
+
+def _family_chart_sides(m_res, nr, c=0.4 - 0.3j, m=np.exp(0.9j)):
+    from foldedmaps import moduli as Mo
+    sides = []
+    for s in (1, -1):
+        radii, weights, y, dy = Mo._family_planes(c, m, m_res, nr, s)
+        sides.append(Mo._chart(radii, weights, y, dy) + (dy,))
+    return sides
+
+
+def _curve_chart_sides(degree, m_res, nr, monkeypatch, c=0.4 - 0.3j,
+                       m=np.exp(0.9j)):
+    from foldedmaps import moduli as Mo
     r0m = np.sqrt(1 - abs(c) ** 2) * m
     curve = Mo.CurveInput(np.array([0] * degree + [r0m]),
                           np.array([m * c]), m)
@@ -427,6 +437,7 @@ def _chart_sides(degree, m_res, nr, monkeypatch):
                         lambda *args: fields.append(solve(*args))
                         or fields[-1])
     bundle = Mo.construct_degree_d(curve, m, m_res, nr)
+    monkeypatch.undo()
     f_log, = fields
     return [(chart, bundle.energies[key],
              Mo._curve_planes(curve, f_log, f_log.kind.rho, m_res, nr, s)[3])
@@ -445,7 +456,9 @@ def test_plane_grid_kernels_match_reference(degree, monkeypatch):
         assert grid.values.tobytes() == vals.tobytes()
         assert np.ascontiguousarray(grid.dvalues_dr).tobytes() \
             == dvr.tobytes()
-        assert S.omega_energy(grid) == ref == energy
+        assert S.omega_energy(grid) == ref
+        # the construction integrates the closed-form holomorphic density
+        assert abs(energy - ref) <= 8 * EPS * abs(ref)
         # the barycentric derivative of the same values
         grid = S.grid_from_chart(chart.values, chart.radii, chart.weights)
         vals, dvr, ref = _reference_grid_energy(
@@ -485,9 +498,46 @@ def test_ring_block_chart_passes_match_full_arrays(degree, m_res, nr,
         # which the chart does not keep
         assert [f.name for f in dataclasses.fields(chart)] \
             == ["radii", "weights", "values"]
-        assert energy == _reference_grid_energy(
-            chart.values, chart.radii, chart.weights,
-            np.moveaxis(dy, 0, -1))[2]
+        ref = _reference_grid_energy(chart.values, chart.radii,
+                                     chart.weights, np.moveaxis(dy, 0, -1))[2]
+        assert abs(energy - ref) <= 8 * EPS * abs(ref)
+
+
+def test_closed_form_chart_energy_matches_fft_route(monkeypatch):
+    # the closed-form density of a holomorphic chart against the equator
+    # map, its FFT d/dtheta and its exact radial differential: degree-1
+    # family charts, and the degree-d construction's charts of the curves
+    # (r0 m z^d, m c), d = 1..5
+    cases = [_family_chart_sides(m_res, nr, c)
+             for m_res, nr, c in ((256, 64, 0.4 - 0.3j), (2048, 44, 0.0),
+                                  (2048, 44, 0.85j), (64, 48, -0.6 + 0.1j))]
+    cases += [_curve_chart_sides(d, 256, 64, monkeypatch)
+              for d in range(1, 6)]
+    for sides in cases:
+        for chart, energy, dy in sides:
+            radii, weights = chart.radii, chart.weights
+            y = np.moveaxis(chart.values, -1, 0)
+            assert S.chart_omega_energy(y, dy, radii, weights) == energy
+            ref = S.omega_energy(S.grid_from_chart(
+                chart.values, radii, weights, np.moveaxis(dy, 0, -1)))
+            assert abs(energy - ref) <= 8 * EPS * abs(ref)
+
+
+def test_closed_form_chart_energy_needs_a_holomorphic_chart():
+    # y = (conj z, 0) is antiholomorphic: the FFT route gives its energy
+    # -1, while the holomorphic density, which assumes d/dtheta y =
+    # i r dy, reads +1, the energy of y = (z, 0)
+    r, w = S.gauss_legendre_radial(32)
+    z = r[:, None] * np.exp(1j * sp.angles(64))[None, :]
+    for fn, dfn, fft_energy in ((np.conj, lambda z: np.conj(z) / np.abs(z),
+                                 -1.0),
+                                (lambda z: z, lambda z: z / np.abs(z), 1.0)):
+        y = np.stack([fn(z), np.zeros_like(z)])
+        dy = np.stack([dfn(z), np.zeros_like(z)])
+        ref = S.omega_energy(S.grid_from_chart(
+            np.moveaxis(y, 0, -1), r, w, np.moveaxis(dy, 0, -1)))
+        assert abs(ref - fft_energy) < 1e-13
+        assert abs(S.chart_omega_energy(y, dy, r, w) - 1.0) < 1e-13
 
 
 def test_gauss_legendre_radial_is_cached_and_read_only():

@@ -292,6 +292,17 @@ def test_sample_planes_are_the_stored_form():
     assert np.shares_memory(again.planes, vp.planes)
 
 
+@pytest.mark.parametrize("ring", [0, 100, -1])
+def test_sample_rejects_a_ring_off_the_sphere(ring):
+    # at M = 2048 the norm check sweeps blocks of 8 rings; a ring off S^3
+    # is caught in the first, a middle and the last, short block
+    vp, _, x = family_samples(0.3 + 0.1j, 1.0, M=2048)
+    rings = vp.rings.copy()
+    rings[ring, 1000] *= 1.0 + 1e-8
+    with pytest.raises(DomainError, match="must lie on S"):
+        T.TunnelMapSample(vp.rho, vp.ring_u, rings, x, 1)
+
+
 def test_sample_ladders_are_read_only_and_derived_fields_cached():
     vplus, _ = family_maps(0.3, 1.0)
     u = T.default_ring_u()
