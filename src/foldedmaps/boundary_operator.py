@@ -65,9 +65,10 @@ class BOperatorData:
     degenerate_f: bool = False
 
     def __post_init__(self):
-        if np.min(self.a_samples) <= 0:
+        # negated tests, so NaN samples fail them too
+        if not np.min(self.a_samples) > 0:
             raise DomainError("gap samples must be positive")
-        if np.min(np.abs(self.af_samples)) == 0:
+        if not np.min(np.abs(self.af_samples)) > 0:
             raise DomainError("A^F frame factors must not vanish")
 
     @property
@@ -395,7 +396,10 @@ def boundary_condition_loops(bundle) -> tuple[TotallyRealLoop, TotallyRealLoop]:
     pair, which is the trivialization in which the index homotopy of the
     transmission operator identifies the two conditions.  On the
     rotation-symmetric stratum the F-direction is taken from the degree
-    label.
+    label.  The two loops agree: with A^F = chi_- / chi_+, the lower
+    direction conj(A^F / |A^F|) chi_- / |chi_-| is chi_+ / |chi_+|, the
+    upper one, up to round-off, and the degenerate branch uses
+    e^{i d theta} for both, so maslovMinus = maslovPlus by construction.
     """
     pair = bundle.pair
     th = sp.angles(bundle.m_res)

@@ -53,9 +53,9 @@ def det_omega_closed_form(x0: np.ndarray) -> np.ndarray:
     return 2.0 * np.asarray(x0) / np.pi ** 2
 
 
-def _x0(vals: np.ndarray) -> np.ndarray:
-    """Transverse coordinate of upper-side ball-chart values (..., 2)."""
-    n2 = np.sum(np.abs(vals) ** 2, axis=-1)
+def _x0(planes: np.ndarray) -> np.ndarray:
+    """Transverse coordinate of upper-side ball-chart values (2, ...)."""
+    n2 = np.sum(np.abs(planes) ** 2, axis=0)
     return (1.0 - n2) / (1.0 + n2)
 
 
@@ -82,18 +82,19 @@ class ModuliParam:
 class ChartGrid:
     """Ball-chart samples of one side on a polar tensor grid.
 
-    `values` is the (nr, M, 2) view of contiguous (2, nr, M) component
-    planes.  The chart's energy is integrated where the planes are built
-    (`_chart`), from exact radial derivatives that the grid does not keep.
+    planes[c, i, k] is component c of the chart at radius radii[i] and
+    angle 2 pi k / M.  The chart's energy is integrated where the planes
+    are built (`_chart`), from exact radial derivatives that the grid does
+    not keep.
     """
 
     radii: np.ndarray
     weights: np.ndarray
-    values: np.ndarray                       # (nr, M, 2) complex
+    planes: np.ndarray                       # (2, nr, M) complex
 
     @property
     def m(self) -> int:
-        return self.values.shape[1]
+        return self.planes.shape[2]
 
     def holomorphy_residual(self) -> float:
         """Cross-ring Laurent consistency of the chart samples.
@@ -104,8 +105,7 @@ class ChartGrid:
         content, normalized by the sample scale.  After the outermost
         ring's FFT, the rings are swept in blocks of `_block_rings`.
         """
-        planes = np.moveaxis(self.values, -1, 0)          # (2, nr, M)
-        m = self.m
+        planes, m = self.planes, self.m
         # modes 0..M/4 and -M/4..-1, in FFT order
         pos, neg = slice(0, m // 4 + 1), slice(m - m // 4, m)
         n_pos = np.arange(m // 4 + 1)
@@ -129,7 +129,7 @@ class ChartGrid:
         det(omega) is positive on the upper chart and negative on the
         lower one, whose transverse coordinate is -x0.
         """
-        tau = det_omega_closed_form(side * _x0(self.values))
+        tau = det_omega_closed_form(side * _x0(self.planes))
         return float(max(0.0, -np.min(side * tau)))
 
 
@@ -147,7 +147,7 @@ class FoldedMapBundle:
     psi_scale: float
     chart_plus: ChartGrid
     chart_minus: ChartGrid
-    boundary_plus: np.ndarray        # (M, 2) fold values u_+|sigma
+    boundary_plus: np.ndarray        # (2, M) fold values u_+|sigma
     boundary_minus: np.ndarray
     pair: ConjugatePair
     energies: dict[str, float]
@@ -214,7 +214,7 @@ def _chart(radii: np.ndarray, weights: np.ndarray, y: np.ndarray,
     planes dy, which the grid does not keep.  Every chart of both
     constructions is holomorphic in its sample coordinate.
     """
-    return (ChartGrid(radii, weights, np.moveaxis(y, 0, -1)),
+    return (ChartGrid(radii, weights, y),
             chart_omega_energy(y, dy, radii, weights))
 
 
@@ -248,10 +248,9 @@ def _family_planes(c: complex, m: complex, m_res: int, nr: int, side: int
 def _unit(planes: np.ndarray) -> np.ndarray:
     """Radial projection onto S^3 of C^2 values in (2, ...) planes, in place.
 
-    Returns the (..., 2) view of the planes, which a tunneling sample
-    keeps without a copy.  The norm is the expression of np.linalg.norm
+    Returns the planes.  The norm is the expression of np.linalg.norm
     along the component axis, so the values equal
-    w / np.linalg.norm(w, axis=-1, keepdims=True) bit for bit.
+    w / np.linalg.norm(w, axis=0) bit for bit.
     """
     sq = np.conj(planes[0])
     sq *= planes[0]
@@ -260,7 +259,7 @@ def _unit(planes: np.ndarray) -> np.ndarray:
     sq *= planes[1]
     norm += sq.real
     planes /= np.sqrt(norm, out=norm)
-    return np.moveaxis(planes, 0, -1)
+    return planes
 
 
 def _family_ladder(c: complex, m: complex, m_res: int,
@@ -287,8 +286,7 @@ def _family_ladder(c: complex, m: complex, m_res: int,
     planes = np.empty((2, len(r), m_res), complex)
     np.multiply((r / s)[:, None], m * ph0, out=planes[0])
     np.multiply((1.0 / s)[:, None], m * c * ph1, out=planes[1])
-    return TunnelMapSample(r0, ring_u, np.moveaxis(planes, 0, -1),
-                           CharacteristicParam(m), side)
+    return TunnelMapSample(r0, ring_u, planes, CharacteristicParam(m), side)
 
 
 def _side(chart: tuple[ChartGrid, float], v: TunnelMapSample
@@ -341,10 +339,9 @@ def degree1_family(param: ModuliParam, m_res: int,
 
     sides = both(sample_side, 1, -1)
 
-    boundary_plus = np.stack(
-        [r0 * m * np.exp(1j * th), np.full(m_res, m * c)], axis=1)
+    boundary_plus = np.stack([r0 * m * np.exp(1j * th), np.full(m_res, m * c)])
     boundary_minus = np.stack(
-        [r0 * m * np.exp(-1j * th), m * c * np.exp(-2j * th)], axis=1)
+        [r0 * m * np.exp(-1j * th), m * c * np.exp(-2j * th)])
     return _assemble(sides, boundary_plus, boundary_minus, r0,
                      f"degree1(c={c!r}, m={m!r})")
 
@@ -459,26 +456,22 @@ class CurveInput:
         dq = len(self.q_coeffs) - 1 if len(self.q_coeffs) else -1
         return max(dp, dq)
 
-    def components(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The two components p(z), q(z) of the curve."""
+    def eval(self, z: np.ndarray) -> np.ndarray:
+        """The curve's values (p(z), q(z)) as a (2, ...) stack."""
         p = np.polynomial.polynomial.polyval(z, self.p_coeffs) \
             if len(self.p_coeffs) else np.zeros_like(z)
         q = np.polynomial.polynomial.polyval(z, self.q_coeffs) \
             if len(self.q_coeffs) else np.zeros_like(z)
-        return p, q
+        return np.stack([p, q])
 
-    def eval(self, z: np.ndarray) -> np.ndarray:
-        return np.stack(self.components(z), axis=-1)
-
-    def derivative_components(self, z: np.ndarray
-                              ) -> tuple[np.ndarray, np.ndarray]:
-        """The two components p'(z), q'(z) of the curve's derivative."""
+    def derivative(self, z: np.ndarray) -> np.ndarray:
+        """The curve's derivative (p'(z), q'(z)) as a (2, ...) stack."""
         dp = np.polynomial.polynomial.polyder(self.p_coeffs) \
             if len(self.p_coeffs) > 1 else np.zeros(1, complex)
         dq = np.polynomial.polynomial.polyder(self.q_coeffs) \
             if len(self.q_coeffs) > 1 else np.zeros(1, complex)
-        return (np.polynomial.polynomial.polyval(z, dp),
-                np.polynomial.polynomial.polyval(z, dq))
+        return np.stack([np.polynomial.polynomial.polyval(z, dp),
+                         np.polynomial.polynomial.polyval(z, dq)])
 
     @staticmethod
     def from_json(data: dict) -> "CurveInput":
@@ -505,7 +498,7 @@ def find_circular_fold(curve: CurveInput) -> float:
 
     def mean_mod(rho):
         return float(np.mean(np.linalg.norm(
-            curve.eval(rho * np.exp(1j * th)), axis=-1))) - 1.0
+            curve.eval(rho * np.exp(1j * th)), axis=0))) - 1.0
 
     lo, hi = 1e-6, 1.0
     while mean_mod(hi) < 0:
@@ -526,7 +519,7 @@ def find_circular_fold(curve: CurveInput) -> float:
             hi = mid
     rho = 0.5 * (lo + hi)
     defect = float(np.max(np.abs(np.linalg.norm(
-        curve.eval(rho * np.exp(1j * th)), axis=-1) - 1.0)))
+        curve.eval(rho * np.exp(1j * th)), axis=0) - 1.0)))
     if defect > CONFIG.tol.fold_circularity:
         raise TierViolationError(
             f"fold locus is not a circle: circularity defect {defect:.3e}")
@@ -550,9 +543,9 @@ def _curve_planes(curve: CurveInput, f_log: LaurentField, rho: float,
     ph = np.exp(1j * sp.angles(m_res))[None, :]
     if side > 0:
         z = rho * radii[:, None] * ph
-        dy = np.stack(curve.derivative_components(z))
+        dy = curve.derivative(z)
         dy *= ph
-        return rho * radii, rho * weights, np.stack(curve.components(z)), dy
+        return rho * radii, rho * weights, curve.eval(z), dy
     zeta_r = radii / rho
     zr = 1.0 / zeta_r
     z = zr[:, None] * ph
@@ -562,8 +555,7 @@ def _curve_planes(curve: CurveInput, f_log: LaurentField, rho: float,
     flip = (-np.arange(m_res)) % m_res
     y = np.empty((2, nr, m_res), complex)
     dy = np.empty_like(y)
-    for k, (w, dw) in enumerate(zip(curve.components(z),
-                                    curve.derivative_components(z))):
+    for k, (w, dw) in enumerate(zip(curve.eval(z), curve.derivative(z))):
         # the multiplier stays the first operand, which decides the
         # rounding of the product
         y[k] = (f * w)[:, flip]
@@ -599,15 +591,14 @@ def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
     x = CharacteristicParam(m)
 
     # tunneling map v_+ = projection of the curve on the exterior
-    vp = sample_tunnel_map(lambda z: _unit(np.stack(curve.components(z))),
-                           rho, m_res, x, d)
+    vp = sample_tunnel_map(lambda z: _unit(curve.eval(z)), rho, m_res, x, d)
 
     # immersion floor for pi_F dw near the fold (cylinder-scaled
     # Fubini-Study derivative of the projected curve)
     near = vp.ring_u <= 1.0
     zz = rho * np.exp(vp.ring_u[near])[:, None] * np.exp(1j * th)[None, :]
-    p, q = curve.components(zz)
-    dp, dq = curve.derivative_components(zz)
+    p, q = curve.eval(zz)
+    dp, dq = curve.derivative(zz)
     fs = (np.abs(p * dq - q * dp) * np.abs(zz)
           / (np.abs(p) ** 2 + np.abs(q) ** 2))
     if float(np.min(fs)) < CONFIG.tol.immersion_floor:
@@ -629,8 +620,7 @@ def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
             return _side(chart, vp)
         # tunneling map v_- = projection of f w on the ladder of v_+
         radii_v = vp.radii()
-        fw = np.stack(curve.components(
-            radii_v[:, None] * np.exp(1j * th)[None, :]))
+        fw = curve.eval(radii_v[:, None] * np.exp(1j * th)[None, :])
         np.multiply(f_log.multiplier_samples(radii_v), fw, out=fw)
         return _side(chart, TunnelMapSample(rho, vp.ring_u, _unit(fw), x, -d))
 
@@ -638,7 +628,7 @@ def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
 
     boundary_plus = curve.eval(rho * np.exp(1j * th))
     # parametrized by the sigma angle theta
-    boundary_minus = f_log.multiplier_samples()[:, None] * boundary_plus
+    boundary_minus = f_log.multiplier_samples() * boundary_plus
     return _assemble(sides, boundary_plus, boundary_minus, 1.0,
                      f"degree{d}(curve)")
 

@@ -286,11 +286,12 @@ def involution(p: Point4Sphere) -> Point4Sphere:
 
 def _equator_planes(y: np.ndarray, dy: Optional[np.ndarray] = None
                     ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """equator_map (and its differential applied to dy) on component planes.
+    """equator_map (and its differential applied to dy) in one pass.
 
     y and dy are (2, ...) stacks of the C^2 components; the results are
     contiguous (2, ...) planes.
     """
+    y = np.asarray(y, dtype=complex)
     y0, y1 = y
     # two-term sums start from +0.0, as np.sum does, so exact zeros are +0
     d = 1.0 + (0.0 + np.abs(y0) ** 2 + np.abs(y1) ** 2)
@@ -302,6 +303,7 @@ def _equator_planes(y: np.ndarray, dy: Optional[np.ndarray] = None
         vals[k, ...] /= d
     if dy is None:
         return vals, None
+    dy = np.asarray(dy, dtype=complex)
     inner = 0.0 + np.real(np.conj(y0) * dy[0]) + np.real(np.conj(y1) * dy[1])
     d2 = d ** 2
     dvals = np.empty((2,) + np.shape(inner), dtype=complex)
@@ -312,16 +314,13 @@ def _equator_planes(y: np.ndarray, dy: Optional[np.ndarray] = None
 
 
 def equator_map(y: np.ndarray) -> np.ndarray:
-    """Pi composed with either hemisphere chart: y -> 2 y / (1 + |y|^2)."""
-    y = np.asarray(y, dtype=complex)
-    return np.moveaxis(_equator_planes(np.moveaxis(y, -1, 0))[0], 0, -1)
+    """Pi after either hemisphere chart: y -> 2 y / (1 + |y|^2), (2, ...)."""
+    return _equator_planes(y)[0]
 
 
 def equator_map_differential(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Differential of equator_map applied to dy (broadcasts over grids)."""
-    y = np.moveaxis(np.asarray(y, dtype=complex), -1, 0)
-    dy = np.moveaxis(np.asarray(dy, dtype=complex), -1, 0)
-    return np.moveaxis(_equator_planes(y, dy)[1], 0, -1)
+    """Differential of equator_map at y applied to dy, both (2, ...) stacks."""
+    return _equator_planes(y, dy)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -430,72 +429,37 @@ def _barycentric_diff_matrix(x: np.ndarray) -> np.ndarray:
     return d
 
 
-@dataclass
-class PolarMapGrid:
-    """Map samples on a polar tensor grid, taking values in the equator plane.
+def omega_energy(y: np.ndarray, radii: np.ndarray, weights: np.ndarray,
+                 dy: Optional[np.ndarray] = None) -> float:
+    """Integral of the pullback of omega over a chart's polar grid.
 
-    values[i, k] is the R^4 = C^2 value at radius radii[i], angle
-    2 pi k / M.  `weights` are radial quadrature weights; `dvalues_dr`,
-    when given, holds exact radial derivatives (otherwise a barycentric
-    differentiation matrix over the radial nodes is used).
-    `grid_from_chart` stores both as (nr, M, 2) views of contiguous
-    (2, nr, M) component planes.
+    y is a (2, nr, M) stack of ball-chart samples at radius radii[i] and
+    angle 2 pi k / M, and `weights` are radial quadrature weights.  The
+    integrand is the omega density Im<d_r Pi(y), d_theta Pi(y)> / pi of
+    the equator map Pi: spectral in the angle, and in the radius the
+    exact derivative planes dy when given, otherwise a barycentric
+    differentiation matrix over the radial nodes.  Any chart will do;
+    `chart_omega_energy` is the fast route for holomorphic ones.
     """
-
-    radii: np.ndarray
-    weights: np.ndarray
-    values: np.ndarray          # (nr, M, 2) complex
-    dvalues_dr: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if len(self.radii) < 2 or self.values.shape[1] < 4:
-            raise DomainError("degenerate grid")
-        if self.values.shape[0] != len(self.radii):
-            raise DomainError("grid shape mismatch")
-
-
-def grid_from_chart(chart_values: np.ndarray, radii: np.ndarray,
-                    weights: np.ndarray,
-                    dchart_dr: Optional[np.ndarray] = None) -> PolarMapGrid:
-    """Build a PolarMapGrid from ball-chart samples y (and optional dy/dr)."""
-    y = np.moveaxis(np.asarray(chart_values, dtype=complex), -1, 0)
-    dy = None
-    if dchart_dr is not None:
-        dy = np.moveaxis(np.asarray(dchart_dr, dtype=complex), -1, 0)
-    vals, dvals = _equator_planes(y, dy)
-    return PolarMapGrid(np.asarray(radii, float), np.asarray(weights, float),
-                        np.moveaxis(vals, 0, 2),
-                        None if dvals is None else np.moveaxis(dvals, 0, 2))
-
-
-def _ring_integrals(dr: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """Integral over each ring of the omega density Im<dr, dt> / pi.
-
-    dr and dt are (2, ..., M) stacks of the radial and angular derivatives
-    of the equator map; the integral runs along the last (angle) axis.
-    """
+    y = np.asarray(y, dtype=complex)
+    radii = np.asarray(radii, dtype=float)
+    if y.ndim != 3 or y.shape[0] != 2:
+        raise DomainError("chart samples must have shape (2, nr, M)")
+    if len(radii) < 2 or y.shape[2] < 4:
+        raise DomainError("degenerate grid")
+    if y.shape[1] != len(radii) or (dy is not None
+                                    and np.shape(dy) != y.shape):
+        raise DomainError("grid shape mismatch")
+    vals, dr = _equator_planes(y, dy)
+    dt = sp.theta_derivative(vals, axis=-1)
+    if dr is None:
+        # one real matmul per plane over its interleaved (re, im) columns
+        d = _barycentric_diff_matrix(radii)
+        dr = (d @ vals.view(float)).view(complex)
     density = np.imag(0.0 + np.conj(dr[0]) * dt[0]
                       + np.conj(dr[1]) * dt[1]) / np.pi
-    return np.sum(density, axis=-1) * (2.0 * np.pi / density.shape[-1])
-
-
-def omega_energy(grid: PolarMapGrid) -> float:
-    """Integral of the pullback of omega over the gridded 2-domain.
-
-    Spectral in the angle, Gauss quadrature in the radius; exact radial
-    derivatives are used when the grid carries them.
-    """
-    dt = sp.theta_derivative(np.moveaxis(grid.values, 2, 0), axis=-1)
-    if grid.dvalues_dr is not None:
-        dr = np.moveaxis(grid.dvalues_dr, 2, 0)
-    else:
-        # one real matmul over the interleaved (re, im) columns
-        d = _barycentric_diff_matrix(grid.radii)
-        y = grid.values
-        flat = np.ascontiguousarray(y, dtype=complex)
-        flat = flat.reshape(len(y), -1).view(float)
-        dr = np.moveaxis((d @ flat).view(complex).reshape(y.shape), 2, 0)
-    return float(np.dot(grid.weights, _ring_integrals(dr, dt)))
+    rings = np.sum(density, axis=-1) * (2.0 * np.pi / density.shape[-1])
+    return float(np.dot(np.asarray(weights, dtype=float), rings))
 
 
 def chart_omega_energy(y: np.ndarray, dy: np.ndarray, radii: np.ndarray,

@@ -43,45 +43,47 @@ class TunnelMapSample:
 
     planes[c, i, k] is component c of the unit C^2 value at
     z = rho e^{ring_u[i]} e^{i theta_k}; ring_u[0] = 0 is the domain fold
-    sigma.  The planes are the stored form: two C-contiguous (R, M) arrays,
-    so every kernel runs along the contiguous angle axis.  `rings` is the
-    (R, M, 2) view of the same memory.  `x` and `degree` record the
+    sigma.  The planes are two C-contiguous (R, M) arrays, so every kernel
+    runs along the contiguous angle axis.  `x` and `degree` record the
     limiting closed characteristic and the puncture multiplicity.
-    `planes`, `rings` and `ring_u` are read-only, so the derived fields
+    `planes` and `ring_u` are read-only views, so the derived fields
     cached on the sample stay in step with them.
     """
 
     rho: float
     ring_u: np.ndarray
-    rings: np.ndarray              # (R, M, 2) complex, view of planes
+    planes: np.ndarray             # (2, R, M) complex
     x: CharacteristicParam
     degree: int
-    planes: np.ndarray = field(init=False, repr=False, compare=False)
     _derived: Optional[_Derived] = field(default=None, init=False,
                                          repr=False, compare=False)
 
     def __post_init__(self):
+        # views, so the caller's arrays stay writable
         self.ring_u = np.asarray(self.ring_u, dtype=float).view()
-        rings = np.asarray(self.rings, dtype=complex)
-        if rings.ndim != 3 or rings.shape[2] != 2:
-            raise DomainError("rings must have shape (R, M, 2)")
-        # no copy when rings is already the (R, M, 2) view of planes
-        self.planes = np.ascontiguousarray(np.moveaxis(rings, 2, 0))
+        self.planes = np.ascontiguousarray(self.planes, dtype=complex).view()
+        if self.planes.ndim != 3 or self.planes.shape[0] != 2:
+            raise DomainError("planes must have shape (2, R, M)")
         self.ring_u.flags.writeable = False
         self.planes.flags.writeable = False
-        self.rings = np.moveaxis(self.planes, 0, 2)
-        if self.rings.shape[0] != len(self.ring_u):
+        if self.n_rings != len(self.ring_u):
             raise DomainError("ring ladder shape mismatch")
         if np.any(np.diff(self.ring_u) <= 0):
             raise DomainError("ring radii must be strictly increasing")
-        # swept in ring blocks, so the norm temporaries stay block-sized
+        # swept in ring blocks, so the norm temporaries stay block-sized;
+        # the negated test rejects NaN samples too
         a, b = self.planes
         step = _block_rings(a[0].nbytes)
         for i0 in range(0, len(a), step):
             norms = (np.abs(a[i0:i0 + step]) ** 2
                      + np.abs(b[i0:i0 + step]) ** 2)
-            if np.max(np.abs(norms - 1.0)) > 1e-9:
+            if not np.max(np.abs(norms - 1.0)) <= 1e-9:
                 raise DomainError("ring samples must lie on S^3")
+
+    @property
+    def rings(self) -> np.ndarray:
+        """The samples as a read-only (R, M, 2) view of the planes."""
+        return np.moveaxis(self.planes, 0, 2)
 
     @property
     def m(self) -> int:
@@ -95,23 +97,19 @@ class TunnelMapSample:
         return self.rho * np.exp(self.ring_u)
 
     def boundary(self) -> np.ndarray:
-        return self.rings[0]
+        """The (2, M) samples on the domain fold sigma."""
+        return self.planes[:, 0]
 
 
 def sample_tunnel_map(fn: Callable[[np.ndarray], np.ndarray], rho: float,
                       m: int, x: CharacteristicParam, degree: int,
                       ring_u: Optional[np.ndarray] = None) -> TunnelMapSample:
-    """Sample fn(z) -> unit C^2 values (..., 2) over the default ring ladder.
-
-    When fn returns the (..., 2) view of contiguous (2, ...) component
-    planes, the sample keeps those planes without a copy.
-    """
+    """Sample fn(z) -> unit C^2 values (2, ...) over the default ring ladder."""
     if ring_u is None:
         ring_u = default_ring_u()
     th = sp.angles(m)
     z = rho * np.exp(ring_u)[:, None] * np.exp(1j * th)[None, :]
-    vals = fn(z)
-    return TunnelMapSample(rho, ring_u, vals, x, degree)
+    return TunnelMapSample(rho, ring_u, fn(z), x, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +384,16 @@ def asymptotic_energy(v: TunnelMapSample, delta: float) -> EnergyProfile:
     return EnergyProfile(v.radii(), e_r, slope, delta, divergent)
 
 
+def _aitken(x1, x2, x3, tiny: float):
+    """One Aitken step x3 - (x3 - x2)^2 / D, D = (x3 - x2) - (x2 - x1).
+
+    Elementwise on arrays; x3 itself where |D| < tiny.
+    """
+    denom = (x3 - x2) - (x2 - x1)
+    small = np.abs(denom) < tiny
+    return np.where(small, x3, x3 - (x3 - x2) ** 2 / np.where(small, 1, denom))
+
+
 def tunneling_omega_energy(v: TunnelMapSample) -> float:
     """Integral of v*omega over the punctured domain via the Stokes route.
 
@@ -393,12 +401,8 @@ def tunneling_omega_energy(v: TunnelMapSample) -> float:
     difference of boundary circulations of v*alpha, with the puncture
     circulation extrapolated geometrically from the outer rings.
     """
-    d = derived_fields(v)
-    circ = TWO_PI * np.mean(d.alpha_t, axis=1)
-    c1, c2, c3 = circ[-3], circ[-2], circ[-1]
-    denom = (c3 - c2) - (c2 - c1)
-    limit = c3 if abs(denom) < 1e-15 else c3 - (c3 - c2) ** 2 / denom
-    return float(limit - circ[0])
+    circ = TWO_PI * np.mean(derived_fields(v).alpha_t, axis=1)
+    return float(_aitken(circ[-3], circ[-2], circ[-1], 1e-15) - circ[0])
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +420,12 @@ def gap_function(u_plus_alpha: BoundaryLoopSamples,
     p = np.real(u_plus_alpha.values)
     q = np.real(u_minus_alpha.values)
     floor = CONFIG.tol.transverse_floor
-    if np.min(np.abs(p)) < floor:
+    # negated tests, so NaN samples fail them too
+    if not np.min(np.abs(p)) >= floor:
         raise NonTransverseCrossingError(
             f"denominator |u_+^*alpha| fell below {floor:.1e}")
     a = -q / p
-    if np.min(a) <= 0:
+    if not np.min(a) > 0:
         raise GapSignError(
             f"gap function is not positive (min {np.min(a):.3e}); "
             "the two inputs do not come from opposite sides")
@@ -471,11 +476,7 @@ def puncture_parameters(v: TunnelMapSample, n_dirs: int = 16) -> np.ndarray:
     cols = np.arange(0, v.m, step)
     zs = v.planes[0, -3:][:, cols]
     ph = zs / np.abs(zs) / v.x.m
-    p1, p2, p3 = ph[0], ph[1], ph[2]
-    denom = (p3 - p2) - (p2 - p1)
-    small = np.abs(denom) < 1e-14
-    limit = np.where(small, p3, p3 - (p3 - p2) ** 2 / np.where(small, 1, denom))
-    return np.angle(limit) / TWO_PI
+    return np.angle(_aitken(ph[0], ph[1], ph[2], 1e-14)) / TWO_PI
 
 
 def fold_data(v: TunnelMapSample,
@@ -569,8 +570,8 @@ def conjugate_partner(v_plus: TunnelMapSample,
     g_tot = winding * th / TWO_PI + g_single + const
     # g_tot is (M,) untwisted or (R, M) twisted; either broadcasts over rings
     planes = np.exp(2j * np.pi * g_tot) * v_plus.planes
-    return TunnelMapSample(v_plus.rho, v_plus.ring_u,
-                           np.moveaxis(planes, 0, 2), x, -v_plus.degree)
+    return TunnelMapSample(v_plus.rho, v_plus.ring_u, planes, x,
+                           -v_plus.degree)
 
 
 def make_conjugate_pair(v_plus: TunnelMapSample, v_minus: TunnelMapSample,

@@ -139,8 +139,8 @@ def test_criterion_07_degree_d_oracle_equivalence():
     bc = Mo.construct_degree_d(curve, m, M_FULL, 128)
     bf = Mo.degree1_family(Mo.ModuliParam(c, m), M_FULL, 128)
     diffs = [
-        np.max(np.abs(bc.chart_plus.values - bf.chart_plus.values)),
-        np.max(np.abs(bc.chart_minus.values - bf.chart_minus.values)),
+        np.max(np.abs(bc.chart_plus.planes - bf.chart_plus.planes)),
+        np.max(np.abs(bc.chart_minus.planes - bf.chart_minus.planes)),
         np.max(np.abs(bc.boundary_plus - bf.boundary_plus)),
         np.max(np.abs(bc.boundary_minus - bf.boundary_minus)),
         np.max(np.abs(bc.pair.v_plus.rings - bf.pair.v_plus.rings)),

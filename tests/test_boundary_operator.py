@@ -197,6 +197,14 @@ def test_ellipticity_matches_per_sample_symbol():
     assert rep.sigma_min == expected.min()
 
 
+@pytest.mark.parametrize("bad", ["a", "af"])
+def test_operator_data_rejects_nan_samples(bad):
+    a, af = np.ones(64), np.ones(64, complex)
+    (a if bad == "a" else af)[9] = np.nan
+    with pytest.raises(DomainError):
+        B.BOperatorData(1.0, a, af, np.zeros(64), np.zeros(64))
+
+
 def test_ellipticity_trivial_frames():
     rep = B.check_ellipticity(B.synthetic_boperator_data(64, a=1.0))
     assert rep.passed
@@ -334,6 +342,17 @@ def degree_curve_bundle(d, c=0.3 + 0.2j, m=np.exp(0.7j)):
     r0m = np.sqrt(1 - abs(c) ** 2) * m
     curve = Mo.CurveInput(np.array([0] * d + [r0m]), np.array([m * c]), m)
     return Mo.construct_degree_d(curve, m, M_RES, NR)
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_loop_directions_agree_on_both_sides(degree):
+    # dir_- = conj(A^F / |A^F|) chi_- / |chi_-| with A^F = chi_- / chi_+
+    # is chi_+ / |chi_+| = dir_+, so maslovMinus = maslovPlus by
+    # construction; the samples agree to round-off
+    bundle = BUNDLE if degree == 1 else degree_curve_bundle(degree)
+    lp, lm = (loop.frames[:, 0, 0]
+              for loop in B.boundary_condition_loops(bundle))
+    assert np.max(np.abs(lm - lp)) <= 1e-14
 
 
 def serialized_report(bundle, data, loops):

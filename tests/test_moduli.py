@@ -87,8 +87,8 @@ def test_family_chart_energies_converge_under_refinement(c):
 def test_family_c0_boundary_is_characteristic():
     b = small_family(0.0, 1.0)
     th = np.arange(M_RES) * 2 * np.pi / M_RES
-    assert np.max(np.abs(b.pair.v_plus.boundary()[:, 0] - np.exp(1j * th))) < 1e-12
-    assert np.max(np.abs(b.pair.v_plus.boundary()[:, 1])) < 1e-12
+    assert np.max(np.abs(b.pair.v_plus.boundary()[0] - np.exp(1j * th))) < 1e-12
+    assert np.max(np.abs(b.pair.v_plus.boundary()[1])) < 1e-12
 
 
 def test_family_verifies():
@@ -99,7 +99,7 @@ def test_family_verifies():
 
 def test_family_boundary_unit_norm():
     b = small_family(0.6, 1j)
-    norms = np.sum(np.abs(b.pair.v_plus.boundary()) ** 2, axis=1)
+    norms = np.sum(np.abs(b.pair.v_plus.boundary()) ** 2, axis=0)
     assert np.max(np.abs(norms - 1)) < 1e-12
 
 
@@ -167,7 +167,7 @@ def test_verify_recomputes_det_omega_sign_from_charts(chart):
     assert Mo.verify_folded_holomorphic(b).tau_sign_violation == 0.0
     # a chart value outside the unit ball puts it on the wrong side of
     # the fold, where det(omega) has the wrong sign
-    getattr(b, chart).values[3, 5] = [1.5, 0.5]
+    getattr(b, chart).planes[:, 3, 5] = [1.5, 0.5]
     assert Mo.verify_folded_holomorphic(b).tau_sign_violation > 0.0
 
 
@@ -256,8 +256,8 @@ def test_degree1_oracle_equivalence():
     curve = Mo.CurveInput(np.array([0, r0 * m]), np.array([m * c]), m)
     bc = Mo.construct_degree_d(curve, m, M_RES, NR)
     bf = Mo.degree1_family(Mo.ModuliParam(c, m), M_RES, NR)
-    assert np.max(np.abs(bc.chart_plus.values - bf.chart_plus.values)) < 1e-7
-    assert np.max(np.abs(bc.chart_minus.values - bf.chart_minus.values)) < 1e-7
+    assert np.max(np.abs(bc.chart_plus.planes - bf.chart_plus.planes)) < 1e-7
+    assert np.max(np.abs(bc.chart_minus.planes - bf.chart_minus.planes)) < 1e-7
     assert np.max(np.abs(bc.boundary_minus - bf.boundary_minus)) < 1e-7
     assert np.max(np.abs(bc.pair.v_minus.rings - bf.pair.v_minus.rings)) < 1e-7
     rc = Mo.verify_folded_holomorphic(bc).as_dict()
@@ -269,8 +269,8 @@ def test_degree1_oracle_equivalence():
 def test_samples_are_normalized_planes():
     # the degree-1 ladders are unit planes within 4 ulp of the closed form
     # w / |w|, evaluated in extended precision at the exact angles
-    # 2 pi k / M; the curve's ladder is the (..., 2) view of its planes,
-    # equal bit for bit to normalizing the interleaved values by their norm
+    # 2 pi k / M; the curve's ladder keeps the planes it normalized, equal
+    # bit for bit to dividing the values by their norm
     eps = np.finfo(float).eps
     # where long double is double, the reference carries its own round-off
     tol = 4 * eps + 64 * np.finfo(np.longdouble).eps
@@ -282,20 +282,19 @@ def test_samples_are_normalized_planes():
         z = (np.longdouble(v.rho) * np.exp(v.ring_u.astype(np.longdouble))
              )[:, None] * np.exp(1j * theta)[None, :]
         mm, cc = np.clongdouble(m), np.clongdouble(c)
-        w = (np.stack([mm * z, np.full_like(z, mm * cc)], axis=-1)
-             if side > 0 else np.stack([mm / z, mm * cc / z ** 2], axis=-1))
-        expected = w / np.sqrt(np.sum(np.abs(w) ** 2, axis=-1,
-                                      keepdims=True))
-        assert float(np.max(np.abs(v.rings - expected))) <= tol
-        norms = np.linalg.norm(v.rings, axis=-1)
+        w = (np.stack([mm * z, np.full_like(z, mm * cc)])
+             if side > 0 else np.stack([mm / z, mm * cc / z ** 2]))
+        expected = w / np.sqrt(np.sum(np.abs(w) ** 2, axis=0))
+        assert float(np.max(np.abs(v.planes - expected))) <= tol
+        norms = np.linalg.norm(v.planes, axis=0)
         assert float(np.max(np.abs(norms - 1.0))) <= 4 * eps
     u = T.default_ring_u()
     z = 0.8 * np.exp(u)[:, None] * np.exp(1j * sp.angles(64))[None, :]
     curve = Mo.CurveInput(np.array([0.1, 0.0, 0.9 * m]), np.array([m * c]), m)
-    vals = Mo._unit(np.stack(curve.components(z)))
+    vals = Mo._unit(curve.eval(z))
     w = curve.eval(z)
-    expected = w / np.linalg.norm(w, axis=-1, keepdims=True)
-    assert np.ascontiguousarray(vals).tobytes() == expected.tobytes()
+    expected = w / np.linalg.norm(w, axis=0)
+    assert vals.tobytes() == expected.tobytes()
     v = T.TunnelMapSample(0.8, u, vals, S.CharacteristicParam(m), 1)
     assert np.shares_memory(v.planes, vals)
 
@@ -433,8 +432,8 @@ def _direct_sum_v_minus(curve, bundle):
         return np.exp(vals) * (z / rho) ** f_log.puncture_pole_order
 
     def v_minus_fn(z):
-        fw = multiplier_at(z)[..., None] * curve.eval(z)
-        return fw / np.linalg.norm(fw, axis=-1, keepdims=True)
+        fw = multiplier_at(z) * curve.eval(z)
+        return fw / np.linalg.norm(fw, axis=0)
 
     return T.sample_tunnel_map(v_minus_fn, rho, vp.m, x, -d)
 
@@ -474,22 +473,20 @@ def test_degree_d_chart_energies_and_values(d, m_res, monkeypatch):
     th = sp.angles(m_res)
     for chart, key in ((bundle.chart_plus, "E_u_plus"),
                        (bundle.chart_minus, "E_u_minus")):
-        assert np.moveaxis(chart.values, -1, 0).flags.c_contiguous
+        assert chart.planes.flags.c_contiguous
         # the energy from exact d/dr against the barycentric reference
-        ref = S.omega_energy(S.grid_from_chart(chart.values, chart.radii,
-                                               chart.weights))
+        ref = S.omega_energy(chart.planes, chart.radii, chart.weights)
         assert abs(bundle.energies[key] - ref) <= 1e-12 * abs(ref)
     # the chart values of the construction before it took exact d/dr
     radii, _ = S.gauss_legendre_radial(nr)
     z_plus = rho * radii[:, None] * np.exp(1j * th)[None, :]
-    assert bundle.chart_plus.values.tobytes() == \
-        np.ascontiguousarray(curve.eval(z_plus)).tobytes()
+    assert bundle.chart_plus.planes.tobytes() == \
+        curve.eval(z_plus).tobytes()
     zr = 1.0 / (radii / rho)
-    y_minus = (f_log.multiplier_samples(zr)[..., None]
+    y_minus = (f_log.multiplier_samples(zr)
                * curve.eval(zr[:, None] * np.exp(1j * th)[None, :])
-               )[:, (-np.arange(m_res)) % m_res]
-    assert bundle.chart_minus.values.tobytes() == \
-        np.ascontiguousarray(y_minus).tobytes()
+               )[..., (-np.arange(m_res)) % m_res]
+    assert bundle.chart_minus.planes.tobytes() == y_minus.tobytes()
 
 
 def test_lower_chart_derivative_follows_a_varying_multiplier():
@@ -509,8 +506,7 @@ def test_lower_chart_derivative_follows_a_varying_multiplier():
     f_log = H.LaurentField(H.ExteriorPunctured(rho), coeffs, -4)
     chart, energy = Mo._chart(*Mo._curve_planes(curve, f_log, rho, M_RES,
                                                 NR, -1))
-    ref = S.omega_energy(S.grid_from_chart(chart.values, chart.radii,
-                                           chart.weights))
+    ref = S.omega_energy(chart.planes, chart.radii, chart.weights)
     assert abs(energy - ref) <= 1e-12 * abs(ref)
 
 
@@ -533,7 +529,7 @@ def _reference_fold_radius(curve, m_probe=512):
 
     def mean_mod(rho):
         return float(np.mean(np.linalg.norm(
-            curve.eval(rho * np.exp(1j * th)), axis=-1))) - 1.0
+            curve.eval(rho * np.exp(1j * th)), axis=0))) - 1.0
 
     lo, hi = 1e-6, 1.0
     while mean_mod(hi) < 0:

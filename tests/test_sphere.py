@@ -280,16 +280,14 @@ def _disk_grid(fn, dfn, nr, m):
     r, w = S.gauss_legendre_radial(nr)
     th = sp.angles(m)
     z = r[:, None] * np.exp(1j * th[None, :])
-    y = fn(z)
     dy = dfn(z) if dfn is not None else None
-    return S.grid_from_chart(y, r, w, dy)
+    return fn(z), r, w, dy
 
 
 def test_energy_constant_map_zero():
     g = _disk_grid(lambda z: np.stack(
-        [np.full_like(z, 0.3 + 0.1j), np.full_like(z, 0.2)], axis=2),
-        None, 32, 64)
-    assert abs(S.omega_energy(g)) < 1e-13
+        [np.full_like(z, 0.3 + 0.1j), np.full_like(z, 0.2)]), None, 32, 64)
+    assert abs(S.omega_energy(*g)) < 1e-13
 
 
 def test_energy_equator_disk():
@@ -299,25 +297,25 @@ def test_energy_equator_disk():
         rr = (np.arange(n) + 0.5) * hr
         tt = (np.arange(2 * n) + 0.5) * (2 * np.pi / (2 * n))
         z = rr[:, None] * np.exp(1j * tt[None, :])
-        y = np.stack([z, np.zeros_like(z)], axis=2)
+        y = np.stack([z, np.zeros_like(z)])
         yv = S.equator_map(y)
         e = 1e-6
         dyr = (S.equator_map(np.stack([(rr[:, None] + e) * np.exp(1j * tt[None, :]),
-                                       np.zeros_like(z)], axis=2)) -
+                                       np.zeros_like(z)])) -
                S.equator_map(np.stack([(rr[:, None] - e) * np.exp(1j * tt[None, :]),
-                                       np.zeros_like(z)], axis=2))) / (2 * e)
-        dyt = np.gradient(yv, tt, axis=1)
-        dens = np.imag(np.sum(np.conj(dyr) * dyt, axis=2)) / np.pi
+                                       np.zeros_like(z)]))) / (2 * e)
+        dyt = np.gradient(yv, tt, axis=2)
+        dens = np.imag(np.sum(np.conj(dyr) * dyt, axis=0)) / np.pi
         return np.sum(dens) * hr * (2 * np.pi / (2 * n))
 
     e1, e2 = brute(40), brute(80)
     oracle = e2 + (e2 - e1) / 3.0
     assert abs(oracle - 1.0) < 1e-3  # independent oracle pins the value 1
 
-    g = _disk_grid(lambda z: np.stack([z, np.zeros_like(z)], axis=2),
+    g = _disk_grid(lambda z: np.stack([z, np.zeros_like(z)]),
                    lambda z: np.stack([np.exp(1j * np.angle(z)),
-                                       np.zeros_like(z)], axis=2), 64, 128)
-    assert abs(S.omega_energy(g) - 1.0) < 1e-12
+                                       np.zeros_like(z)]), 64, 128)
+    assert abs(S.omega_energy(*g) - 1.0) < 1e-12
 
 
 def _reference_diff_matrix(x):
@@ -357,17 +355,14 @@ def test_omega_energy_barycentric_matches_exact_derivative(c, m):
     from foldedmaps import moduli as Mo
     for side in (1, -1):
         radii, weights, y, dy = Mo._family_planes(c, m, 128, 128, side)
-        exact = S.grid_from_chart(np.moveaxis(y, 0, -1), radii, weights,
-                                  np.moveaxis(dy, 0, -1))
-        assert exact.dvalues_dr is not None
-        grid = S.PolarMapGrid(exact.radii, exact.weights, exact.values)
-        energy = S.omega_energy(grid)
-        assert abs(energy - S.omega_energy(exact)) < 1e-12
+        energy = S.omega_energy(y, radii, weights)
+        assert abs(energy - S.omega_energy(y, radii, weights, dy)) < 1e-12
         # the einsum the matmul replaced, up to its summation order
-        d = _reference_diff_matrix(grid.radii)
-        ref = S.omega_energy(S.PolarMapGrid(
-            grid.radii, grid.weights, grid.values,
-            np.einsum("ij,jkl->ikl", d, grid.values)))
+        vals = S.equator_map(y)
+        dr = np.einsum("ij,cjk->cik", _reference_diff_matrix(radii), vals)
+        dt = sp.theta_derivative(vals, axis=-1)
+        density = np.imag(np.sum(np.conj(dr) * dt, axis=0)) / np.pi
+        ref = np.dot(weights, np.sum(density, axis=-1) * (2 * np.pi / 128))
         assert abs(energy - ref) <= 16 * np.finfo(float).eps * abs(ref)
 
 
@@ -380,6 +375,11 @@ def test_equator_map_on_one_vector():
     expected = 2.0 * dy / d - 4.0 * y * inner / d ** 2
     assert np.allclose(S.equator_map_differential(y, dy), expected,
                        rtol=0, atol=1e-15)
+
+
+def _last(planes):
+    """The (..., 2) view of a (2, ...) stack, the layout of the references."""
+    return np.moveaxis(planes, 0, -1)
 
 
 def _reference_grid_energy(y, radii, weights, dy=None):
@@ -448,24 +448,19 @@ def _curve_chart_sides(degree, m_res, nr, monkeypatch, c=0.4 - 0.3j,
 @pytest.mark.parametrize("degree", [1, 3])
 def test_plane_grid_kernels_match_reference(degree, monkeypatch):
     for chart, energy, dy in _chart_sides(degree, 128, 48, monkeypatch):
+        y, radii, weights = chart.planes, chart.radii, chart.weights
         # the exact radial derivatives the construction integrated
-        grid = S.grid_from_chart(chart.values, chart.radii, chart.weights,
-                                 np.moveaxis(dy, 0, -1))
-        vals, dvr, ref = _reference_grid_energy(
-            chart.values, chart.radii, chart.weights, np.moveaxis(dy, 0, -1))
-        assert grid.values.tobytes() == vals.tobytes()
-        assert np.ascontiguousarray(grid.dvalues_dr).tobytes() \
+        vals, dvr, ref = _reference_grid_energy(_last(y), radii, weights,
+                                                _last(dy))
+        assert _last(S.equator_map(y)).tobytes() == vals.tobytes()
+        assert _last(S.equator_map_differential(y, dy)).tobytes() \
             == dvr.tobytes()
-        assert S.omega_energy(grid) == ref
+        assert S.omega_energy(y, radii, weights, dy) == ref
         # the construction integrates the closed-form holomorphic density
         assert abs(energy - ref) <= 8 * EPS * abs(ref)
         # the barycentric derivative of the same values
-        grid = S.grid_from_chart(chart.values, chart.radii, chart.weights)
-        vals, dvr, ref = _reference_grid_energy(
-            chart.values, chart.radii, chart.weights)
-        assert grid.values.tobytes() == vals.tobytes()
-        assert (grid.dvalues_dr is None) == (dvr is None)
-        assert S.omega_energy(grid) == ref
+        ref = _reference_grid_energy(_last(y), radii, weights)[2]
+        assert S.omega_energy(y, radii, weights) == ref
 
 
 def _reference_holomorphy_residual(values, radii):
@@ -493,13 +488,13 @@ def test_ring_block_chart_passes_match_full_arrays(degree, m_res, nr,
     # block of all the rings
     for chart, energy, dy in _chart_sides(degree, m_res, nr, monkeypatch):
         assert chart.holomorphy_residual() == _reference_holomorphy_residual(
-            chart.values, chart.radii)
+            _last(chart.planes), chart.radii)
         # every chart's energy takes the ring-block pass over exact d/dr,
         # which the chart does not keep
         assert [f.name for f in dataclasses.fields(chart)] \
-            == ["radii", "weights", "values"]
-        ref = _reference_grid_energy(chart.values, chart.radii,
-                                     chart.weights, np.moveaxis(dy, 0, -1))[2]
+            == ["radii", "weights", "planes"]
+        ref = _reference_grid_energy(_last(chart.planes), chart.radii,
+                                     chart.weights, _last(dy))[2]
         assert abs(energy - ref) <= 8 * EPS * abs(ref)
 
 
@@ -516,10 +511,9 @@ def test_closed_form_chart_energy_matches_fft_route(monkeypatch):
     for sides in cases:
         for chart, energy, dy in sides:
             radii, weights = chart.radii, chart.weights
-            y = np.moveaxis(chart.values, -1, 0)
+            y = chart.planes
             assert S.chart_omega_energy(y, dy, radii, weights) == energy
-            ref = S.omega_energy(S.grid_from_chart(
-                chart.values, radii, weights, np.moveaxis(dy, 0, -1)))
+            ref = S.omega_energy(y, radii, weights, dy)
             assert abs(energy - ref) <= 8 * EPS * abs(ref)
 
 
@@ -534,8 +528,7 @@ def test_closed_form_chart_energy_needs_a_holomorphic_chart():
                                 (lambda z: z, lambda z: z / np.abs(z), 1.0)):
         y = np.stack([fn(z), np.zeros_like(z)])
         dy = np.stack([dfn(z), np.zeros_like(z)])
-        ref = S.omega_energy(S.grid_from_chart(
-            np.moveaxis(y, 0, -1), r, w, np.moveaxis(dy, 0, -1)))
+        ref = S.omega_energy(y, r, w, dy)
         assert abs(ref - fft_energy) < 1e-13
         assert abs(S.chart_omega_energy(y, dy, r, w) - 1.0) < 1e-13
 
@@ -551,9 +544,19 @@ def test_gauss_legendre_radial_is_cached_and_read_only():
 
 
 def test_energy_degenerate_grid_error():
-    with pytest.raises(DomainError):
-        S.PolarMapGrid(np.array([0.5]), np.array([1.0]),
-                       np.zeros((1, 8, 2), dtype=complex))
+    r, w = S.gauss_legendre_radial(4)
+    with pytest.raises(DomainError, match="degenerate"):
+        S.omega_energy(np.zeros((2, 1, 8)), np.array([0.5]), np.array([1.0]))
+    with pytest.raises(DomainError, match="degenerate"):
+        S.omega_energy(np.zeros((2, 4, 2)), r, w)
+    with pytest.raises(DomainError, match="mismatch"):
+        S.omega_energy(np.zeros((2, 3, 8)), r, w)
+    # a d/dr of another shape would broadcast into a wrong energy
+    with pytest.raises(DomainError, match="mismatch"):
+        S.omega_energy(np.zeros((2, 4, 8)), r, w, np.zeros((2, 4, 1)))
+    # the (nr, M, 2) layout is not a chart
+    with pytest.raises(DomainError, match="shape"):
+        S.omega_energy(np.zeros((4, 8, 2)), r, w)
 
 
 def test_omega0_conventions():

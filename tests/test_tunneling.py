@@ -19,12 +19,12 @@ M = 256
 
 def family_maps(c, m):
     def vplus(z):
-        w = np.stack([m * z, np.full_like(z, m * c)], axis=-1)
-        return w / np.linalg.norm(w, axis=-1, keepdims=True)
+        w = np.stack([m * z, np.full_like(z, m * c)])
+        return w / np.linalg.norm(w, axis=0)
 
     def vminus(z):
-        w = np.stack([m / z, m * c / z ** 2], axis=-1)
-        return w / np.linalg.norm(w, axis=-1, keepdims=True)
+        w = np.stack([m / z, m * c / z ** 2])
+        return w / np.linalg.norm(w, axis=0)
 
     return vplus, vminus
 
@@ -175,7 +175,7 @@ def test_derived_fields_match_whole_ladder_formulas(m, n_rings):
     vp, _, _ = family_samples(0.45 + 0.3j, np.exp(0.7j), M=m)
     if n_rings < vp.n_rings:
         vp = T.TunnelMapSample(vp.rho, vp.ring_u[:n_rings],
-                               vp.rings[:n_rings], vp.x, vp.degree)
+                               vp.planes[:, :n_rings], vp.x, vp.degree)
     alpha_t, alpha_u, chi_t, _ = derived_reference(vp)
     d = T.derived_fields(vp)
     assert d.alpha_t.tobytes() == alpha_t.tobytes()
@@ -244,9 +244,9 @@ def test_residual_family():
 
 def test_residual_constant_map():
     def const(z):
-        out = np.zeros(z.shape + (2,), dtype=complex)
-        out[..., 0] = 0.6
-        out[..., 1] = 0.8j
+        out = np.zeros((2,) + z.shape, dtype=complex)
+        out[0] = 0.6
+        out[1] = 0.8j
         return out
 
     v = T.sample_tunnel_map(const, 1.0, 64, CharacteristicParam(1.0), 0,
@@ -272,7 +272,7 @@ def test_residual_detects_warp():
 
 def test_residual_needs_rings():
     vp, _, x = family_samples(0.3, 1.0)
-    short = T.TunnelMapSample(vp.rho, vp.ring_u[:2], vp.rings[:2], x, 1)
+    short = T.TunnelMapSample(vp.rho, vp.ring_u[:2], vp.planes[:, :2], x, 1)
     with pytest.raises(DomainError):
         T.residual_H(short)
 
@@ -287,9 +287,17 @@ def test_sample_planes_are_the_stored_form():
         vp.planes[0, 0, 0] = 0.0
     with pytest.raises(ValueError):
         vp.rings[0, 0, 1] = 0.0
-    # a sample built from another's rings view keeps the same planes
-    again = T.TunnelMapSample(vp.rho, vp.ring_u, vp.rings, x, 1)
+    # a sample built from another's planes keeps the same memory
+    again = T.TunnelMapSample(vp.rho, vp.ring_u, vp.planes, x, 1)
     assert np.shares_memory(again.planes, vp.planes)
+
+
+def test_sample_rejects_the_component_last_layout():
+    vp, _, x = family_samples(0.3 + 0.1j, 1.0, M=64)
+    with pytest.raises(DomainError, match=r"shape \(2, R, M\)"):
+        T.TunnelMapSample(vp.rho, vp.ring_u, vp.rings, x, 1)
+    with pytest.raises(DomainError, match=r"shape \(2, R, M\)"):
+        T.TunnelMapSample(vp.rho, vp.ring_u, vp.planes[0], x, 1)
 
 
 @pytest.mark.parametrize("ring", [0, 100, -1])
@@ -297,22 +305,29 @@ def test_sample_rejects_a_ring_off_the_sphere(ring):
     # at M = 2048 the norm check sweeps blocks of 8 rings; a ring off S^3
     # is caught in the first, a middle and the last, short block
     vp, _, x = family_samples(0.3 + 0.1j, 1.0, M=2048)
-    rings = vp.rings.copy()
-    rings[ring, 1000] *= 1.0 + 1e-8
+    planes = vp.planes.copy()
+    planes[:, ring, 1000] *= 1.0 + 1e-8
     with pytest.raises(DomainError, match="must lie on S"):
-        T.TunnelMapSample(vp.rho, vp.ring_u, rings, x, 1)
+        T.TunnelMapSample(vp.rho, vp.ring_u, planes, x, 1)
+
+
+def test_sample_rejects_nan_samples():
+    vp, _, x = family_samples(0.3 + 0.1j, 1.0, M=64)
+    with pytest.raises(DomainError, match="must lie on S"):
+        T.TunnelMapSample(vp.rho, vp.ring_u, np.full_like(vp.planes, np.nan),
+                          x, 1)
 
 
 def test_sample_ladders_are_read_only_and_derived_fields_cached():
     vplus, _ = family_maps(0.3, 1.0)
     u = T.default_ring_u()
-    rings = vplus(np.exp(u)[:, None] * np.exp(1j * sp.angles(64))[None, :])
-    v = T.TunnelMapSample(1.0, u, rings, CharacteristicParam(1.0), 1)
+    planes = vplus(np.exp(u)[:, None] * np.exp(1j * sp.angles(64))[None, :])
+    v = T.TunnelMapSample(1.0, u, planes, CharacteristicParam(1.0), 1)
     with pytest.raises(ValueError):
-        v.rings[0, 0, 0] = 0.0
+        v.planes[0, 0, 0] = 0.0
     with pytest.raises(ValueError):
         v.ring_u[1] = 0.5
-    assert rings.flags.writeable and u.flags.writeable
+    assert planes.flags.writeable and u.flags.writeable
     assert T.derived_fields(v) is T.derived_fields(v)
 
 
@@ -331,8 +346,8 @@ def test_periods_detect_dtheta():
     # v*alpha o j with nonzero period
     def bad(z):
         t = np.log(np.abs(z))
-        out = np.zeros(z.shape + (2,), dtype=complex)
-        out[..., 0] = np.exp(2j * np.pi * t)
+        out = np.zeros((2,) + z.shape, dtype=complex)
+        out[0] = np.exp(2j * np.pi * t)
         return out
 
     v = T.sample_tunnel_map(bad, 1.0, 64, CharacteristicParam(1.0), 0,
@@ -353,8 +368,8 @@ def test_periods_ring_independent():
 
 def test_energy_constant_map_zero():
     def const(z):
-        out = np.zeros(z.shape + (2,), dtype=complex)
-        out[..., 0] = 1.0
+        out = np.zeros((2,) + z.shape, dtype=complex)
+        out[0] = 1.0
         return out
 
     v = T.sample_tunnel_map(const, 1.0, 64, CharacteristicParam(1.0), 0,
@@ -401,8 +416,8 @@ def test_energy_divergence_flag():
     # constant pullback of alpha along ds: integrand grows like e^{delta s}
     def spiral(z):
         t = np.log(np.abs(z)) / (2 * np.pi)
-        out = np.zeros(z.shape + (2,), dtype=complex)
-        out[..., 0] = np.exp(2j * np.pi * 5 * t)
+        out = np.zeros((2,) + z.shape, dtype=complex)
+        out[0] = np.exp(2j * np.pi * 5 * t)
         return out
 
     v = T.sample_tunnel_map(spiral, 1.0, 64, CharacteristicParam(1.0), 0,
@@ -447,6 +462,14 @@ def test_gap_non_transverse():
         T.gap_function(plus, minus)
 
 
+def test_gap_rejects_nan_samples():
+    plus = np.full(M, 0.2)
+    plus[5] = np.nan
+    with pytest.raises(NonTransverseCrossingError):
+        T.gap_function(BoundaryLoopSamples(plus),
+                       BoundaryLoopSamples(np.full(M, -0.2)))
+
+
 # ---------------------------------------------------------------------------
 # conjugacy
 
@@ -468,7 +491,7 @@ def test_check_conjugate_detects_flow_shift():
     vp, vm, x = family_samples(0.5, 1.0)
     shifted = T.TunnelMapSample(
         vm.rho, vm.ring_u,
-        np.exp(2j * np.pi * 0.3) * vm.rings, x, vm.degree)
+        np.exp(2j * np.pi * 0.3) * vm.planes, x, vm.degree)
     rep = T.check_conjugate(T.make_conjugate_pair(vp, shifted, x))
     assert abs(rep.marker_defect - abs(np.exp(2j * np.pi * 0.3) - 1)) < 1e-6
 
@@ -500,10 +523,10 @@ def _twisted_family_sample(c, m, beta):
         return np.real(beta * r0 / z)
 
     def twisted_plus(z):
-        return np.exp(2j * np.pi * h(z))[..., None] * vplus(z)
+        return np.exp(2j * np.pi * h(z)) * vplus(z)
 
     def twisted_minus(z):
-        return np.exp(-2j * np.pi * h(z))[..., None] * vminus(z)
+        return np.exp(-2j * np.pi * h(z)) * vminus(z)
 
     vp = T.sample_tunnel_map(twisted_plus, r0, M, x, 1)
     vm = T.sample_tunnel_map(twisted_minus, r0, M, x, -1)
@@ -574,6 +597,15 @@ def test_lambda_vanishes_after_partner():
     vm = T.conjugate_partner(vp, x)
     rep = T.check_conjugate(T.make_conjugate_pair(vp, vm, x))
     assert rep.lambda_residual < 1e-8
+
+
+def test_aitken_step():
+    # a geometric sequence x_n = 2 + 0.5^n reaches its limit in one step;
+    # a denominator below the cutoff keeps the last term
+    x = 2.0 + 0.5 ** np.arange(3)
+    assert T._aitken(*x, 1e-15) == 2.0
+    assert T._aitken(1.0, 1.0 + 1e-16, 1.0 + 2e-16, 1e-15) == 1.0 + 2e-16
+    assert np.array_equal(T._aitken(x, x, x, 1e-14), x)
 
 
 def test_tunneling_energies_agree():
