@@ -119,31 +119,39 @@ def phase_winding(samples: np.ndarray) -> int:
     return int(np.rint(total / (2.0 * np.pi)))
 
 
-def fd_weights(nodes: np.ndarray, x0: float, order: int) -> np.ndarray:
-    """Fornberg finite-difference weights for d^order/dx^order at x0."""
+def fd_weights(nodes: np.ndarray, x0: np.ndarray | float,
+               order: int) -> np.ndarray:
+    """Fornberg finite-difference weights for d^order/dx^order at x0.
+
+    nodes (..., n) and x0 (...) broadcast over their leading axes, and the
+    result is (..., n).  The recursion runs elementwise over those axes,
+    so every stencil of a batch is bitwise its own 1-D call.
+    """
     nodes = np.asarray(nodes, dtype=float)
-    n = len(nodes)
+    x0 = np.asarray(x0, dtype=float)
+    n = nodes.shape[-1]
     if n <= order:
         raise ValueError("not enough nodes for requested derivative order")
-    c = np.zeros((n, order + 1))
-    c[0, 0] = 1.0
+    c = np.zeros(np.broadcast_shapes(nodes.shape[:-1], x0.shape)
+                 + (n, order + 1))
+    c[..., 0, 0] = 1.0
     c1 = 1.0
-    c4 = nodes[0] - x0
+    c4 = nodes[..., 0] - x0
     for i in range(1, n):
         mn = min(i, order)
         c2 = 1.0
         c5 = c4
-        c4 = nodes[i] - x0
+        c4 = nodes[..., i] - x0
         for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
+            c3 = nodes[..., i] - nodes[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+                    c[..., i, k] = c1 * (k * c[..., i - 1, k - 1]
+                                         - c5 * c[..., i - 1, k]) / c2
+                c[..., i, 0] = -c1 * c5 * c[..., i - 1, 0] / c2
             for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+                c[..., j, k] = (c4 * c[..., j, k] - k * c[..., j, k - 1]) / c3
+            c[..., j, 0] = c4 * c[..., j, 0] / c3
         c1 = c2
-    return c[:, order]
-
+    return c[..., order]

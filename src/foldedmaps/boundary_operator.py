@@ -12,12 +12,13 @@ certificate are evaluated per sample and covector sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import _spectral as sp
 from .config import CONFIG
-from .errors import DomainError, NonImmersedBoundaryError
+from .errors import DomainError
 from .harmonic import (BoundaryLoopSamples, ExteriorPunctured,
                        solve_neumann_vanishing, solve_Qtilde)
 from .tunneling import ConjugatePair, derived_fields, gap_function
@@ -70,6 +71,9 @@ class BOperatorData:
             raise DomainError("gap samples must be positive")
         if not np.min(np.abs(self.af_samples)) > 0:
             raise DomainError("A^F frame factors must not vanish")
+        if not (np.all(np.isfinite(self.f_chi))
+                and np.all(np.isfinite(self.f_jchi))):
+            raise DomainError("f samples must be finite")
 
     @property
     def m(self) -> int:
@@ -120,37 +124,28 @@ class SymbolMatrix:
 # extraction from a verified bundle
 
 
-def _f_values_from_pair(pair: ConjugatePair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f_chi, f_jchi, w_theta): f on the unit frame, from lambda data.
+def _fold_frame(pair: ConjugatePair
+                ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(chi_+, A^F = chi_- / chi_+) on sigma, or None off the immersed case.
 
-    f composed with the F-derivative of the upper map reproduces the
-    rotated sum of the contact pullbacks; inverting on the boundary
-    derivative frame gives the values of f on the unit contact frame.
+    chi_+- are the F-coefficients of dv_+-(d_theta) on the fold; None when
+    |chi_+| falls below the immersion floor somewhere, as it does on the
+    rotation-symmetric stratum.
     """
-    dp = derived_fields(pair.v_plus)
-    dm = derived_fields(pair.v_minus)
-    w_theta = dp.chi_sigma
-    lam_t = -(dp.alpha_u[0] + dm.alpha_u[0])      # lambda(d_theta)
-    lam_u = dp.alpha_t[0] + dm.alpha_t[0]         # lambda(d_u)
-    lam_j = -lam_u                                # lambda(j d_theta)
-    rw = np.abs(w_theta)
-    if np.min(rw) < CONFIG.tol.immersion_floor:
-        raise NonImmersedBoundaryError(
-            f"F-derivative of the boundary falls below the immersion floor "
-            f"(min {np.min(rw):.3e})")
-    cphi = w_theta.real / rw
-    sphi = w_theta.imag / rw
-    f_a = (cphi * lam_t - sphi * lam_j) / rw
-    f_b = (sphi * lam_t + cphi * lam_j) / rw
-    return f_a, f_b, w_theta
+    chi_p = derived_fields(pair.v_plus).chi_sigma
+    if np.min(np.abs(chi_p)) < CONFIG.tol.immersion_floor:
+        return None
+    return chi_p, derived_fields(pair.v_minus).chi_sigma / chi_p
 
 
 def boperator_data_from_bundle(bundle) -> BOperatorData:
     """Sample (a, A^F, f) along the fold from a verified bundle.
 
-    Falls back to the transition-phase representation of A^F (and the
-    vanishing limit of f) when the boundary F-derivative degenerates, as
-    it does on the rotation-symmetric stratum.
+    f composed with the F-derivative of the upper map reproduces the
+    rotated sum of the contact pullbacks; inverting on the boundary
+    derivative frame chi_+ gives the values of f on the unit contact
+    frame.  Where the fold frame degenerates (`_fold_frame` is None), A^F
+    is the transition phase and f its vanishing limit.
     """
     pair = bundle.pair
     dp = derived_fields(pair.v_plus)
@@ -160,16 +155,21 @@ def boperator_data_from_bundle(bundle) -> BOperatorData:
         BoundaryLoopSamples(dp.alpha_t[0], pair.v_plus.rho),
         BoundaryLoopSamples(dm.alpha_t[0], pair.v_plus.rho)).values
 
-    try:
-        f_a, f_b, w_theta = _f_values_from_pair(pair)
-        af = dm.chi_sigma / w_theta
-        degenerate = False
-    except NonImmersedBoundaryError:
+    frame = _fold_frame(pair)
+    if frame is None:
         af = np.exp(4j * np.pi * pair.g_boundary)
-        f_a = np.zeros(bundle.m_res)
-        f_b = np.zeros(bundle.m_res)
-        degenerate = True
-    return BOperatorData(pair.v_plus.rho, a, af, f_a, f_b, degenerate)
+        return BOperatorData(pair.v_plus.rho, a, af, np.zeros(bundle.m_res),
+                             np.zeros(bundle.m_res), degenerate_f=True)
+    chi_p, af = frame
+    lam_t = -(dp.alpha_u[0] + dm.alpha_u[0])      # lambda(d_theta)
+    lam_u = dp.alpha_t[0] + dm.alpha_t[0]         # lambda(d_u)
+    lam_j = -lam_u                                # lambda(j d_theta)
+    rw = np.abs(chi_p)
+    cphi = chi_p.real / rw
+    sphi = chi_p.imag / rw
+    f_a = (cphi * lam_t - sphi * lam_j) / rw
+    f_b = (sphi * lam_t + cphi * lam_j) / rw
+    return BOperatorData(pair.v_plus.rho, a, af, f_a, f_b)
 
 
 # ---------------------------------------------------------------------------
@@ -401,20 +401,15 @@ def boundary_condition_loops(bundle) -> tuple[TotallyRealLoop, TotallyRealLoop]:
     upper one, up to round-off, and the degenerate branch uses
     e^{i d theta} for both, so maslovMinus = maslovPlus by construction.
     """
-    pair = bundle.pair
     th = sp.angles(bundle.m_res)
-    dp = derived_fields(pair.v_plus)
-    dm = derived_fields(pair.v_minus)
-
-    chi_p = dp.chi_sigma
-    if np.min(np.abs(chi_p)) < CONFIG.tol.immersion_floor:
-        dir_p = np.exp(1j * bundle.degree * th)
-        dir_m = np.exp(1j * bundle.degree * th)
+    frame = _fold_frame(bundle.pair)
+    if frame is None:
+        dir_p = dir_m = np.exp(1j * bundle.degree * th)
     else:
+        chi_p, af = frame
+        chi_m = derived_fields(bundle.pair.v_minus).chi_sigma
         dir_p = chi_p / np.abs(chi_p)
-        af_phase = dm.chi_sigma / chi_p
-        af_phase = af_phase / np.abs(af_phase)
-        dir_m = np.conj(af_phase) * dm.chi_sigma / np.abs(dm.chi_sigma)
+        dir_m = np.conj(af / np.abs(af)) * chi_m / np.abs(chi_m)
     return (TotallyRealLoop.from_directions(dir_p),
             TotallyRealLoop.from_directions(dir_m))
 

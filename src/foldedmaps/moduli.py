@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -181,24 +181,19 @@ class VerificationReport:
         return self.conjugacy.max_residual()
 
     def max_residual(self) -> float:
-        return max(self.holo_plus, self.holo_minus, self.tau_boundary,
-                   self.tau_sign_violation, self.boundary_match_plus,
-                   self.boundary_match_minus, self.conjugacy_max)
+        return self.as_dict()["max_residual"]
 
     def passed(self, tol: float = RESIDUAL_PASS_TOL) -> bool:
         return self.max_residual() < tol
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "holo_plus": self.holo_plus,
-            "holo_minus": self.holo_minus,
-            "tau_boundary": self.tau_boundary,
-            "tau_sign_violation": self.tau_sign_violation,
-            "boundary_match_plus": self.boundary_match_plus,
-            "boundary_match_minus": self.boundary_match_minus,
-            "conjugacy_max": self.conjugacy_max,
-            "max_residual": self.max_residual(),
-        }
+        """The residual fields in declaration order, the conjugacy report
+        by its maximum, then the maximum of them all."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "conjugacy"}
+        out["conjugacy_max"] = self.conjugacy_max
+        out["max_residual"] = max(out.values())
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +300,7 @@ def _assemble(sides: tuple[tuple, tuple], boundary_plus: np.ndarray,
     return FoldedMapBundle(
         psi_scale=psi_scale, chart_plus=chart_p, chart_minus=chart_m,
         boundary_plus=boundary_plus, boundary_minus=boundary_minus,
-        pair=make_conjugate_pair(vp, vm, vp.x), energies=energies,
+        pair=make_conjugate_pair(vp, vm), energies=energies,
         label=label)
 
 
@@ -654,7 +649,6 @@ def bundle_report(bundle: FoldedMapBundle,
         op_data = boperator_data_from_bundle(bundle)
     if loops is None:
         loops = boundary_condition_loops(bundle)
-    conj = report.conjugacy
     operator, loop_data = report_sections(op_data, loops)
     return {
         "schema": SCHEMA,
@@ -664,13 +658,7 @@ def bundle_report(bundle: FoldedMapBundle,
         "resolution": bundle.m_res,
         "psi_scale": bundle.psi_scale,
         "residuals": report.as_dict(),
-        "conjugacy": {
-            "omega_residual": conj.omega_residual,
-            "lambda_residual": conj.lambda_residual,
-            "marker_defect": conj.marker_defect,
-            "base_distance": conj.base_distance,
-            "eigenmode_direction_residual": conj.eigenmode_direction_residual,
-        },
+        "conjugacy": asdict(report.conjugacy),
         "energies": dict(bundle.energies),
         "boundary_operator": operator,
         "loops": loop_data,

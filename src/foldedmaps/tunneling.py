@@ -9,9 +9,7 @@ by the asymptotic energy is (u, theta) / (2 pi).
 
 from __future__ import annotations
 
-import functools
-import threading
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -121,24 +119,6 @@ def _d_theta(values: np.ndarray) -> np.ndarray:
     return sp.theta_derivative(values, axis=-1)
 
 
-@functools.lru_cache(maxsize=16)
-def _ladder_stencil(nodes: tuple[float, ...],
-                    width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fornberg d/du weights (R, width) and window starts (R,) of a ladder.
-
-    Built once per distinct ladder and shared process-wide; the arrays are
-    read-only, so concurrent callers can use them without copying.
-    """
-    u = np.asarray(nodes)
-    r = len(u)
-    starts = np.minimum(np.maximum(np.arange(r) - width // 2, 0), r - width)
-    weights = np.stack([sp.fd_weights(u[lo:lo + width], float(u[i]), 1)
-                        for i, lo in enumerate(starts)])
-    weights.setflags(write=False)
-    starts.setflags(write=False)
-    return weights, starts
-
-
 # d/du stencil width: 9 rings, eighth order on a uniform ladder
 _D_U_WIDTH = 9
 
@@ -177,14 +157,17 @@ def _d_u_rows(out: np.ndarray, weights: np.ndarray, x: np.ndarray, i0: int,
         _stencil_rows(out[b - i0:], weights[b:i1], x, r - width, True)
 
 
-# the two side threads meet a new ladder at once; the lock makes the
-# second wait for the first's weights instead of building them again
-_stencil_lock = threading.Lock()
-
-
 def _ladder_weights(u: np.ndarray) -> np.ndarray:
-    with _stencil_lock:
-        return _ladder_stencil(tuple(u.tolist()), min(_D_U_WIDTH, len(u)))[0]
+    """Fornberg d/du weights (R, width) of a ladder, one row per ring.
+
+    Each ring's window is the `_D_U_WIDTH` rings centred on it, shifted
+    inward at the two ends, as `_d_u_rows` reads them.
+    """
+    u = np.asarray(u, dtype=float)
+    r = len(u)
+    width = min(_D_U_WIDTH, r)
+    starts = np.minimum(np.maximum(np.arange(r) - width // 2, 0), r - width)
+    return sp.fd_weights(u[starts[:, None] + np.arange(width)], u, 1)
 
 
 def _d_u(values: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -448,7 +431,6 @@ class ConjugatePair:
 
     v_plus: TunnelMapSample
     v_minus: TunnelMapSample
-    x: CharacteristicParam
     g_boundary: np.ndarray
 
 
@@ -461,9 +443,7 @@ class ConjugacyReport:
     eigenmode_direction_residual: float
 
     def max_residual(self) -> float:
-        return max(self.omega_residual, self.lambda_residual,
-                   self.marker_defect, self.base_distance,
-                   self.eigenmode_direction_residual)
+        return max(astuple(self))
 
 
 def puncture_parameters(v: TunnelMapSample, n_dirs: int = 16) -> np.ndarray:
@@ -574,12 +554,12 @@ def conjugate_partner(v_plus: TunnelMapSample,
                            -v_plus.degree)
 
 
-def make_conjugate_pair(v_plus: TunnelMapSample, v_minus: TunnelMapSample,
-                        x: CharacteristicParam) -> ConjugatePair:
+def make_conjugate_pair(v_plus: TunnelMapSample,
+                        v_minus: TunnelMapSample) -> ConjugatePair:
     """Assemble a ConjugatePair, reading the transition off the samples."""
     ratio = v_minus.planes[0, 0] / v_plus.planes[0, 0]
     g_boundary = (np.angle(ratio) / TWO_PI) % 1.0
-    return ConjugatePair(v_plus, v_minus, x, g_boundary)
+    return ConjugatePair(v_plus, v_minus, g_boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +573,7 @@ class FlatFoldReport:
     torus_fixed_residual: float
 
     def max_residual(self) -> float:
-        return max(self.graph_residual, self.half_period_residual,
-                   self.torus_fixed_residual)
+        return max(astuple(self))
 
 
 def flat_fold_apply(theta0: float, circle: np.ndarray,

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from foldedmaps import _spectral as sp
 from foldedmaps import boundary_operator as B
 from foldedmaps import cli
 from foldedmaps import moduli as Mo
+from foldedmaps.config import CONFIG
 from foldedmaps.errors import DomainError
 from foldedmaps.tunneling import derived_fields
 
@@ -205,6 +207,15 @@ def test_operator_data_rejects_nan_samples(bad):
         B.BOperatorData(1.0, a, af, np.zeros(64), np.zeros(64))
 
 
+@pytest.mark.parametrize("bad", ["f_chi", "f_jchi"])
+def test_operator_data_rejects_nan_f(bad):
+    # NaN f would reach the SVD of check_ellipticity, which does not converge
+    f_chi, f_jchi = np.zeros(64), np.zeros(64)
+    (f_chi if bad == "f_chi" else f_jchi)[9] = np.nan
+    with pytest.raises(DomainError):
+        B.BOperatorData(1.0, np.ones(64), np.ones(64, complex), f_chi, f_jchi)
+
+
 def test_ellipticity_trivial_frames():
     rep = B.check_ellipticity(B.synthetic_boperator_data(64, a=1.0))
     assert rep.passed
@@ -322,6 +333,21 @@ def test_boundary_condition_loops_degenerate_stratum():
     lp, lm = B.boundary_condition_loops(b0)
     assert B.maslov_index(lp) == 2
     assert B.maslov_index(lm) == 2
+
+
+def test_immersion_floor_decides_data_and_loops_together(monkeypatch):
+    # c != 0 is immersed at the default floor; above |chi_+| both the
+    # operator data and the loops take the degenerate branch
+    assert not BOP.degenerate_f
+    monkeypatch.setattr(CONFIG, "tol",
+                        replace(CONFIG.tol, immersion_floor=1e3))
+    data = B.boperator_data_from_bundle(BUNDLE)
+    assert data.degenerate_f
+    assert not np.any(data.f_chi) and not np.any(data.f_jchi)
+    af = np.exp(4j * np.pi * BUNDLE.pair.g_boundary)
+    assert data.af_samples.tobytes() == af.tobytes()
+    for loop in B.boundary_condition_loops(BUNDLE):
+        assert loop.frames[:, 0, 0].tobytes() == np.exp(1j * TH).tobytes()
 
 
 def test_certificate_schema():

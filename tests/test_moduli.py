@@ -146,7 +146,7 @@ def test_verify_detects_involution_reflection():
     # continuous image; its tunneling double fails the marker condition
     from foldedmaps.tunneling import make_conjugate_pair, check_conjugate
     b = small_family(0.5, 1.0)
-    naive = make_conjugate_pair(b.pair.v_plus, b.pair.v_plus, b.x)
+    naive = make_conjugate_pair(b.pair.v_plus, b.pair.v_plus)
     rep = check_conjugate(naive)
     assert rep.marker_defect > 0.1
 

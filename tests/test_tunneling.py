@@ -1,6 +1,5 @@
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -69,8 +68,24 @@ def ladder_values(n_rings, m=16):
 def test_d_u_cached_stencil_matches_direct(u):
     vals = ladder_values(len(u))
     assert T._d_u(vals, u).tobytes() == d_u_direct(vals, u).tobytes()
-    weights, starts = T._ladder_stencil(tuple(u.tolist()), 9)
-    assert not weights.flags.writeable and not starts.flags.writeable
+
+
+@pytest.mark.parametrize("u", [T.default_ring_u(),
+                               np.cumsum(np.linspace(0.01, 0.08, 60))],
+                         ids=["default", "nonuniform"])
+def test_fd_weights_batch_rows_match_1d_calls(u):
+    lo = np.minimum(np.maximum(np.arange(len(u)) - 4, 0), len(u) - 9)
+    windows = u[lo[:, None] + np.arange(9)]
+    batch = sp.fd_weights(windows, u, 1)
+    rows = np.stack([sp.fd_weights(w, float(x), 1)
+                     for w, x in zip(windows, u)])
+    assert batch.tobytes() == rows.tobytes()
+    assert T._ladder_weights(u).tobytes() == rows.tobytes()
+
+
+def test_fd_weights_central_difference():
+    w = sp.fd_weights(np.array([-1.0, 0.0, 1.0]), 0.0, 1)
+    assert w.tolist() == [-0.5, 0.0, 0.5]
 
 
 @pytest.mark.parametrize("m", [64, 256, 2048])
@@ -121,8 +136,6 @@ def test_d_u_stencil_is_per_ladder():
     d2 = T._d_u(vals, u2)
     assert d2.tobytes() == d_u_direct(vals, u2).tobytes()
     assert not np.allclose(d1, d2)
-    assert T._ladder_stencil(tuple(u1.tolist()), 9)[0] \
-        is not T._ladder_stencil(tuple(u2.tolist()), 9)[0]
 
 
 def test_d_u_stencil_cache_under_threads():
@@ -140,7 +153,6 @@ def test_d_u_stencil_cache_under_threads():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        T._ladder_stencil.cache_clear()
         threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
         for t in threads:
             t.start()
@@ -199,35 +211,6 @@ def test_asymptotic_energy_matches_whole_ladder_chi():
                     for i in range(vp.n_rings - 1)] + [0.0])
     prof = T.asymptotic_energy(vp, delta)
     assert prof.e_r.tobytes() == e_r.tobytes()
-
-
-def test_ladder_stencil_built_once_under_threads(monkeypatch):
-    # callers that meet a new ladder at the same time share one build
-    u = np.cumsum(np.full(40, 0.013))
-    vals = ladder_values(40)
-    calls = []
-    fd_weights = sp.fd_weights
-
-    def counting(*args):
-        calls.append(1)
-        time.sleep(1e-4)
-        return fd_weights(*args)
-
-    monkeypatch.setattr(sp, "fd_weights", counting)
-    T._ladder_stencil.cache_clear()
-    start = threading.Barrier(4)
-
-    def worker():
-        start.wait(timeout=30)
-        T._d_u(vals, u)
-
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-    assert not any(t.is_alive() for t in threads)
-    assert len(calls) == len(u)
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +460,13 @@ def test_gap_rejects_nan_samples():
 def test_check_conjugate_family():
     for c, m in [(0.5 + 0.2j, np.exp(0.7j)), (0.75, 1.0), (0.2j, np.exp(2j))]:
         vp, vm, x = family_samples(c, m)
-        rep = T.check_conjugate(T.make_conjugate_pair(vp, vm, x))
+        rep = T.check_conjugate(T.make_conjugate_pair(vp, vm))
         assert rep.max_residual() < 1e-8, (c, m, rep)
 
 
 def test_conjugate_base_projections_agree():
     vp, vm, x = family_samples(0.4 + 0.4j, 1.0)
-    rep = T.check_conjugate(T.make_conjugate_pair(vp, vm, x))
+    rep = T.check_conjugate(T.make_conjugate_pair(vp, vm))
     assert rep.base_distance < 1e-8
 
 
@@ -492,7 +475,7 @@ def test_check_conjugate_detects_flow_shift():
     shifted = T.TunnelMapSample(
         vm.rho, vm.ring_u,
         np.exp(2j * np.pi * 0.3) * vm.planes, x, vm.degree)
-    rep = T.check_conjugate(T.make_conjugate_pair(vp, shifted, x))
+    rep = T.check_conjugate(T.make_conjugate_pair(vp, shifted))
     assert abs(rep.marker_defect - abs(np.exp(2j * np.pi * 0.3) - 1)) < 1e-6
 
 
@@ -500,7 +483,7 @@ def test_check_conjugate_rejects_naive_double():
     # v- = v+ (the reflection-through-the-fold construction): the marker
     # condition fails away from the reference direction
     vp, _, x = family_samples(0.5, 1.0)
-    rep = T.check_conjugate(T.make_conjugate_pair(vp, vp, x))
+    rep = T.check_conjugate(T.make_conjugate_pair(vp, vp))
     assert rep.marker_defect > 0.1
 
 
@@ -510,7 +493,7 @@ def test_conjugate_partner_matches_closed_form():
         built = T.conjugate_partner(vp, x)
         assert np.max(np.abs(built.rings - vm.rings)) < 1e-7
         assert built.degree == -1
-        rep = T.check_conjugate(T.make_conjugate_pair(vp, built, x))
+        rep = T.check_conjugate(T.make_conjugate_pair(vp, built))
         assert rep.max_residual() < 1e-7
 
 
@@ -543,7 +526,7 @@ def test_conjugate_partner_twisted_family():
     assert max(res.f_residual, res.l_residual) < 1e-7
     built = T.conjugate_partner(vp, x)
     assert np.max(np.abs(built.rings - vm_expected.rings)) < 1e-7
-    rep = T.check_conjugate(T.make_conjugate_pair(vp, built, x))
+    rep = T.check_conjugate(T.make_conjugate_pair(vp, built))
     assert rep.max_residual() < 1e-7
 
 
@@ -595,7 +578,7 @@ def test_conjugate_partner_characteristic_circle():
 def test_lambda_vanishes_after_partner():
     vp, _, x = family_samples(0.55, np.exp(0.4j))
     vm = T.conjugate_partner(vp, x)
-    rep = T.check_conjugate(T.make_conjugate_pair(vp, vm, x))
+    rep = T.check_conjugate(T.make_conjugate_pair(vp, vm))
     assert rep.lambda_residual < 1e-8
 
 
