@@ -333,19 +333,18 @@ def check_ellipticity(data: BOperatorData) -> EllipticityReport:
 
     The symbol is restricted to the range of the Calderon projector for
     both covector signs; the certificate passes when the global minimum
-    stays above the configured floor.
+    stays above the configured floor.  a and f are real and A^F enters
+    through its real and imaginary parts, so the symbol and the range
+    basis at nu = -1 are the conjugates of those at nu = +1, and one SVD
+    at nu = +1 gives the singular values of both signs.
     """
-    sv = []
-    for nu in (+1, -1):
-        neg_b = -_symbol_stack(data.a_samples, data.af_samples, data.f_chi,
-                               data.f_jchi, nu)
-        upper, lower = _RANGE_P[nu]
-        # one matrix-vector product per column rounds like a single -b @ w
-        cols = [neg_b @ w for w in upper] \
-            + [np.broadcast_to(w, neg_b.shape[:-1]) for w in lower]
-        sv.append(np.linalg.svd(np.stack(cols, axis=-1),
-                                compute_uv=False)[:, -1])
-    mins = np.minimum(sv[0], sv[1])
+    neg_b = -_symbol_stack(data.a_samples, data.af_samples, data.f_chi,
+                           data.f_jchi, +1)
+    upper, lower = _RANGE_P[+1]
+    # one matrix-vector product per column rounds like a single -b @ w
+    cols = [neg_b @ w for w in upper] \
+        + [np.broadcast_to(w, neg_b.shape[:-1]) for w in lower]
+    mins = np.linalg.svd(np.stack(cols, axis=-1), compute_uv=False)[:, -1]
     arg = int(np.argmin(mins))
     smin = float(mins[arg])
     # the first sample tied with the minimum (none when it is NaN)
@@ -453,10 +452,9 @@ def report_sections(data: BOperatorData,
     lp, lm = (loop.frames[:, 0, 0] for loop in loops)
     columns = (data.a_samples, data.af_samples.real, data.af_samples.imag,
                data.f_chi, data.f_jchi)
-    operator = {k: list(map(float, c))
-                for k, c in zip(_OPERATOR_KEYS, columns)}
+    operator = {k: c.tolist() for k, c in zip(_OPERATOR_KEYS, columns)}
     operator["sigma_radius"] = float(data.sigma_radius)
-    loop_data = {k: list(map(float, c)) for k, c in
+    loop_data = {k: c.tolist() for k, c in
                  zip(_LOOP_KEYS, (lp.real, lp.imag, lm.real, lm.imag))}
     return operator, loop_data
 

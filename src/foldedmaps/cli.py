@@ -48,8 +48,8 @@ def format_json(obj, indent: int = 0) -> str:
         if not obj:
             return "[]"
         if all(type(v) is float for v in obj):
-            # the sample arrays: the same bytes as the per-item path below
-            return "[" + ", ".join([format(v, ".17g") for v in obj]) + "]"
+            # sample arrays: one %-format, the same bytes as the path below
+            return "[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]"
         flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
         if flat:
             return "[" + ", ".join(format_json(v) for v in obj) + "]"
@@ -145,10 +145,8 @@ def cmd_compactify(args) -> int:
         _validate_resolution(args.resolution), 64)
     lines = ["c_abs,E_uplus,E_uminus,E_total,limit_label"]
     for r in rows:
-        lines.append(
-            f"{format(r.c_abs, '.17g')},{format(r.e_u_plus, '.17g')},"
-            f"{format(r.e_u_minus, '.17g')},{format(r.e_total, '.17g')},"
-            f"\"{r.limit_label}\"")
+        lines.append('%.17g,%.17g,%.17g,%.17g,"%s"' % (
+            r.c_abs, r.e_u_plus, r.e_u_minus, r.e_total, r.limit_label))
     _write("\n".join(lines), args.out)
     return EXIT_PASS
 

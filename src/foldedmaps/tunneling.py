@@ -13,6 +13,7 @@ from dataclasses import astuple, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import simpson
 
 from . import _spectral as sp
@@ -25,6 +26,15 @@ from .harmonic import BoundaryLoopSamples, ExteriorPunctured, \
 from .sphere import CharacteristicParam, _block_rings
 
 TWO_PI = 2.0 * np.pi
+
+S3_TOL = 1e-9                 # max ||v|^2 - 1|; far above round-off
+PARTNER_RESIDUAL_TOL = 1e-6   # partner input; resolved residuals ~1e-10
+PARTNER_PERIOD_TOL = 1e-8     # partner input; resolved periods ~1e-14
+FOLD_DATA_NOISE_RTOL = 1e-9   # relative size of fold d/du stencil noise
+OMEGA_AITKEN_TINY = 1e-15     # round-off of O(1) ring circulations
+PUNCTURE_AITKEN_TINY = 1e-14  # round-off of the unit puncture phases
+HOPF_MODE_FLOOR = 1e-14       # leading Hopf mode too small to have a phase
+HOPF_MODE_MISMATCH_FLOOR = 1e-12  # a larger unmatched mode is a mismatch
 
 
 def default_ring_u(u_max: float = 8.0, spacing: float = 0.04) -> np.ndarray:
@@ -75,7 +85,7 @@ class TunnelMapSample:
         for i0 in range(0, len(a), step):
             norms = (np.abs(a[i0:i0 + step]) ** 2
                      + np.abs(b[i0:i0 + step]) ** 2)
-            if not np.max(np.abs(norms - 1.0)) <= 1e-9:
+            if not np.max(np.abs(norms - 1.0)) <= S3_TOL:
                 raise DomainError("ring samples must lie on S^3")
 
     @property
@@ -123,26 +133,13 @@ def _d_theta(values: np.ndarray) -> np.ndarray:
 _D_U_WIDTH = 9
 
 
-def _stencil_rows(out: np.ndarray, w: np.ndarray, x: np.ndarray, lo: int,
-                  shared: bool) -> None:
-    """out[k] = w[k, 0] x[s_k] + w[k, 1] x[s_k + 1] + ..., left to right.
-
-    s_k = lo for every row when the rows share one window, else lo + k.
-    """
-    n = 1 if shared else len(out)
-    tmp = np.empty_like(out)
-    np.multiply(w[:, :1], x[lo:lo + n], out=out)
-    for j in range(1, w.shape[1]):
-        np.multiply(w[:, j:j + 1], x[lo + j:lo + j + n], out=tmp)
-        out += tmp
-
-
 def _d_u_rows(out: np.ndarray, weights: np.ndarray, x: np.ndarray, i0: int,
               i1: int) -> None:
     """Rows [i0, i1) of d/du of the float ladder x (R, n) into out.
 
     The edge rows at either end share one window; the rows between have
-    centred windows.
+    centred windows, read as a sliding window view of x.  Each row block
+    is one einsum contraction over the window, summed left to right.
     """
     r, width = x.shape[0], weights.shape[1]
     half = width // 2
@@ -150,11 +147,12 @@ def _d_u_rows(out: np.ndarray, weights: np.ndarray, x: np.ndarray, i0: int,
     a = min(max(i0, half), i1)
     b = min(max(i0, hi), i1)
     if a > i0:
-        _stencil_rows(out[:a - i0], weights[i0:a], x, 0, True)
+        np.einsum("kj,jm->km", weights[i0:a], x[:width], out=out[:a - i0])
     if b > a:
-        _stencil_rows(out[a - i0:b - i0], weights[a:b], x, a - half, False)
+        windows = sliding_window_view(x, width, axis=0)[a - half:b - half]
+        np.einsum("kj,kmj->km", weights[a:b], windows, out=out[a - i0:b - i0])
     if i1 > b:
-        _stencil_rows(out[b - i0:], weights[b:i1], x, r - width, True)
+        np.einsum("kj,jm->km", weights[b:i1], x[r - width:], out=out[b - i0:])
 
 
 def _ladder_weights(u: np.ndarray) -> np.ndarray:
@@ -170,24 +168,24 @@ def _ladder_weights(u: np.ndarray) -> np.ndarray:
     return sp.fd_weights(u[starts[:, None] + np.arange(width)], u, 1)
 
 
-def _d_u(values: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _d_u(values: np.ndarray, u: np.ndarray,
+         weights: Optional[np.ndarray] = None) -> np.ndarray:
     """d/du along axis 0 of ladder data (R, ...), windowed Fornberg stencils.
 
-    Each row is the left-to-right sum of its stencil terms, taken on the
-    float64 view (complex data as interleaved re/im) by NumPy
-    multiply-adds without BLAS, in blocks of `_block_rings` rings.  Real
-    data gives real output.
+    Each row is +0.0 plus its stencil terms, added left to right, taken
+    on the float64 view (complex data as interleaved re/im) by plain
+    NumPy multiply-adds without BLAS or temporaries; so a row whose terms
+    are all -0.0 is +0.0.  Real data gives real output.  `weights` are
+    the ladder's `_ladder_weights(u)`, built here when not given.
     """
     r = values.shape[0]
-    weights = _ladder_weights(u)
+    if weights is None:
+        weights = _ladder_weights(u)
     x = np.ascontiguousarray(values).reshape(r, -1)
     if np.iscomplexobj(x):
         x = x.view(float)
     out = np.empty_like(x)
-    step = _block_rings(x[0].nbytes)
-    for i0 in range(0, r, step):
-        i1 = min(i0 + step, r)
-        _d_u_rows(out[i0:i1], weights, x, i0, i1)
+    _d_u_rows(out, weights, x, 0, r)
     return out.view(values.dtype).reshape(values.shape)
 
 
@@ -198,6 +196,7 @@ class _Derived:
     alpha_t: np.ndarray    # (R, M)  v*alpha(d_theta)
     alpha_u: np.ndarray    # (R, M)  v*alpha(d_u)
     chi_sigma: np.ndarray  # (M,)    F-coefficient of dv(d_theta) on sigma
+    weights: np.ndarray    # (R, 9)  d/du weights of the ladder
 
 
 def _alpha_rows(out: np.ndarray, ca: np.ndarray, cb: np.ndarray,
@@ -220,7 +219,8 @@ def derived_fields(v: TunnelMapSample) -> _Derived:
     """v*alpha along d_theta and d_u on every ring, chi on sigma; cached.
 
     One pass over ring blocks: d/du, the conjugates and the products live
-    only per block, and the fields are written into their outputs.
+    only per block, and the fields are written into their outputs, with
+    the ladder's d/du weights for later d/du calls on the sample.
     """
     if v._derived is not None:
         return v._derived
@@ -249,7 +249,7 @@ def derived_fields(v: TunnelMapSample) -> _Derived:
         _alpha_rows(alpha_u[i0:i1], ca, cb, du_a, du_b, ta[:n], tb[:n])
     # F-coefficient against the contact frame (-conj w, conj z) pointwise
     chi_sigma = 0.0 + (-b[0]) * dth_a[0] + a[0] * dth_b[0]
-    v._derived = _Derived(alpha_t, alpha_u, chi_sigma)
+    v._derived = _Derived(alpha_t, alpha_u, chi_sigma, weights)
     return v._derived
 
 
@@ -283,7 +283,7 @@ def residual_H(v: TunnelMapSample) -> HResidual:
         raise DomainError("need at least 3 rings for derivative estimates")
     d = derived_fields(v)
     h = hopf_ratio(v)
-    h_u = _d_u(h, v.ring_u)
+    h_u = _d_u(h, v.ring_u, d.weights)
     h_t = _d_theta(h)
     dbar = 0.5 * (h_u + 1j * h_t)
     f_res = float(np.max(np.abs(dbar) / (1.0 + np.abs(h) ** 2)))
@@ -291,7 +291,7 @@ def residual_H(v: TunnelMapSample) -> HResidual:
     # (v*alpha o j) has components (alpha_t, -alpha_u) on (d_u, d_theta)
     lam_u = d.alpha_t
     lam_t = -d.alpha_u
-    closed = _d_u(lam_t, v.ring_u) - _d_theta(lam_u)
+    closed = _d_u(lam_t, v.ring_u, d.weights) - _d_theta(lam_u)
     l_res = float(np.max(np.abs(closed)))
     return HResidual(f_res, l_res)
 
@@ -338,14 +338,15 @@ def asymptotic_energy(v: TunnelMapSample, delta: float) -> EnergyProfile:
     s = v.ring_u / TWO_PI
     a_s = TWO_PI * d.alpha_u
     a_t = TWO_PI * d.alpha_t
-    a_t_s = TWO_PI * _d_u(a_t, v.ring_u)
+    a_t_s = TWO_PI * _d_u(a_t, v.ring_u, d.weights)
     a_t_t = TWO_PI * _d_theta(a_t)
     # F-coefficients of dv(d_theta) and dv(d_u) on every ring, needed here
     # only, so built here and not cached
     a, b = v.planes
     dth_a, dth_b = _d_theta(v.planes)
     chi_t = 0.0 + (-b) * dth_a + a * dth_b
-    chi_u = 0.0 + (-b) * _d_u(a, v.ring_u) + a * _d_u(b, v.ring_u)
+    chi_u = (0.0 + (-b) * _d_u(a, v.ring_u, d.weights)
+             + a * _d_u(b, v.ring_u, d.weights))
     pf2 = (TWO_PI ** 2) * (np.abs(chi_u) ** 2 + np.abs(chi_t) ** 2)
     dens = np.abs(a_s) ** 2 + a_t_s ** 2 + a_t_t ** 2 + pf2
     ring_density = np.mean(dens, axis=1) * np.exp(delta * s)
@@ -385,7 +386,7 @@ def tunneling_omega_energy(v: TunnelMapSample) -> float:
     circulation extrapolated geometrically from the outer rings.
     """
     circ = TWO_PI * np.mean(derived_fields(v).alpha_t, axis=1)
-    return float(_aitken(circ[-3], circ[-2], circ[-1], 1e-15) - circ[0])
+    return float(_aitken(*circ[-3:], OMEGA_AITKEN_TINY) - circ[0])
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +457,7 @@ def puncture_parameters(v: TunnelMapSample, n_dirs: int = 16) -> np.ndarray:
     cols = np.arange(0, v.m, step)
     zs = v.planes[0, -3:][:, cols]
     ph = zs / np.abs(zs) / v.x.m
-    return np.angle(_aitken(ph[0], ph[1], ph[2], 1e-14)) / TWO_PI
+    return np.angle(_aitken(*ph, PUNCTURE_AITKEN_TINY)) / TWO_PI
 
 
 def fold_data(v: TunnelMapSample,
@@ -471,7 +472,7 @@ def fold_data(v: TunnelMapSample,
     data = factor * d.alpha_u[0]
     data = data - np.mean(data)  # remove quadrature-level mean noise
     scale = max(float(np.max(np.abs(d.alpha_t[0]))), 1e-3)
-    if np.max(np.abs(data)) < 1e-9 * scale:
+    if np.max(np.abs(data)) < FOLD_DATA_NOISE_RTOL * scale:
         data = None
     return data, -2.0 * float(puncture_parameters(v, n_dirs=1)[0])
 
@@ -479,7 +480,7 @@ def fold_data(v: TunnelMapSample,
 def _omega_density(v: TunnelMapSample) -> np.ndarray:
     """Pullback of omega_Z = d(alpha) in the (u, theta) coordinates."""
     d = derived_fields(v)
-    return _d_u(d.alpha_t, v.ring_u) - _d_theta(d.alpha_u)
+    return _d_u(d.alpha_t, v.ring_u, d.weights) - _d_theta(d.alpha_u)
 
 
 def check_conjugate(pair: ConjugatePair) -> ConjugacyReport:
@@ -515,8 +516,9 @@ def check_conjugate(pair: ConjugatePair) -> ConjugacyReport:
     cp[0] = 0.0
     cm[0] = 0.0
     ip, im = int(np.argmax(np.abs(cp))), int(np.argmax(np.abs(cm)))
-    if ip != im or abs(cp[ip]) < 1e-14:
-        eig = 1.0 if abs(cp[ip]) > 1e-12 or abs(cm[im]) > 1e-12 else 0.0
+    if ip != im or abs(cp[ip]) < HOPF_MODE_FLOOR:
+        eig = 1.0 if (abs(cp[ip]) > HOPF_MODE_MISMATCH_FLOOR
+                      or abs(cm[im]) > HOPF_MODE_MISMATCH_FLOOR) else 0.0
     else:
         eig = float(abs(cp[ip] / abs(cp[ip]) - cm[im] / abs(cm[im])))
     return ConjugacyReport(omega_res, lambda_res, marker, base, eig)
@@ -533,10 +535,10 @@ def conjugate_partner(v_plus: TunnelMapSample,
     flow action of the transition on the input.
     """
     res = residual_H(v_plus)
-    if max(res.f_residual, res.l_residual) > 1e-6:
+    if max(res.f_residual, res.l_residual) > PARTNER_RESIDUAL_TOL:
         raise VerificationError(
             f"input is not a tunneling map: residuals {res!r}")
-    if check_periods(v_plus) > 1e-8:
+    if check_periods(v_plus) > PARTNER_PERIOD_TOL:
         raise VerificationError("input has nonvanishing periods")
 
     data, const = fold_data(v_plus, 2.0)

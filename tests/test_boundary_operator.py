@@ -199,6 +199,89 @@ def test_ellipticity_matches_per_sample_symbol():
     assert rep.sigma_min == expected.min()
 
 
+def random_operator_data(m, rng):
+    return B.BOperatorData(
+        1.0, rng.uniform(0.05, 4.0, m),
+        rng.uniform(0.3, 3.0, m) * np.exp(1j * rng.uniform(0, 2 * np.pi, m)),
+        rng.normal(0.0, 3.0, m), rng.normal(0.0, 3.0, m))
+
+
+def restricted_symbols(data, nu):
+    """The symbol at covector sign nu on the Calderon range, (M, 4, 4)."""
+    neg_b = -B._symbol_stack(data.a_samples, data.af_samples, data.f_chi,
+                             data.f_jchi, nu)
+    upper, lower = B._RANGE_P[nu]
+    cols = [neg_b @ w for w in upper] \
+        + [np.broadcast_to(w, neg_b.shape[:-1]) for w in lower]
+    return np.stack(cols, axis=-1)
+
+
+def conj_bits(x):
+    # conj flips the sign of zero imaginary parts; + 0.0 makes every zero +0
+    return (np.conj(x) + 0.0).tobytes()
+
+
+def test_minus_covector_sign_is_the_conjugate():
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        data = random_operator_data(64, rng)
+        args = (data.a_samples, data.af_samples, data.f_chi, data.f_jchi)
+        plus, minus = B._symbol_stack(*args, +1), B._symbol_stack(*args, -1)
+        assert (minus + 0.0).tobytes() == conj_bits(plus)
+        x_plus = restricted_symbols(data, +1)
+        x_minus = restricted_symbols(data, -1)
+        assert (x_minus + 0.0).tobytes() == conj_bits(x_plus)
+        sv_plus = np.linalg.svd(x_plus, compute_uv=False)
+        sv_minus = np.linalg.svd(x_minus, compute_uv=False)
+        assert sv_minus.tobytes() == sv_plus.tobytes()
+    for w_plus, w_minus in zip(sum(B._RANGE_P[+1], ()),
+                               sum(B._RANGE_P[-1], ())):
+        assert (w_minus + 0.0).tobytes() == conj_bits(w_plus)
+
+
+def ellipticity_two_svd(data):
+    """(sigma_min, argmin, per-sample minima) from one SVD per sign."""
+    mins = np.minimum(*(np.linalg.svd(restricted_symbols(data, nu),
+                                      compute_uv=False)[:, -1]
+                        for nu in (+1, -1)))
+    smin = float(mins.min())
+    ties = np.flatnonzero(mins <= smin + B._ARGMIN_TIE_RTOL * abs(smin))
+    return smin, int(ties[0]), mins
+
+
+def tampered_report_data():
+    bundle = degree_curve_bundle(3)
+    data = B.boperator_data_from_bundle(bundle)
+    report = serialized_report(bundle, data,
+                               B.boundary_condition_loops(bundle))
+    op = report["boundary_operator"]
+    op["a"][13] = 1e-3
+    op["AF_re"][40] *= 3.0
+    op["f_chi"][7] = -25.0
+    cert = B.certificate_from_report(report)
+    arrays = {k: np.array(op[k]) for k in B._OPERATOR_KEYS}
+    return B.BOperatorData(op["sigma_radius"], arrays["a"],
+                           arrays["AF_re"] + 1j * arrays["AF_im"],
+                           arrays["f_chi"], arrays["f_jchi"]), cert
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (BOP, None),
+    lambda: (B.boperator_data_from_bundle(degree_curve_bundle(3)), None),
+    tampered_report_data,
+], ids=["degree1", "degree3", "tampered"])
+def test_ellipticity_matches_two_svd_reference(make):
+    data, cert = make()
+    smin, arg, mins = ellipticity_two_svd(data)
+    rep = B.check_ellipticity(data)
+    assert rep.sigma_min == smin
+    assert rep.argmin_sample == arg
+    assert rep.per_sample.tobytes() == mins.tobytes()
+    if cert is not None:
+        assert (cert["sigmaMin"], cert["argminSample"]) == (smin, arg)
+        assert arg == 13
+
+
 @pytest.mark.parametrize("bad", ["a", "af"])
 def test_operator_data_rejects_nan_samples(bad):
     a, af = np.ones(64), np.ones(64, complex)

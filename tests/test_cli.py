@@ -60,7 +60,10 @@ def _numpy_floats(obj):
 
 
 def test_float_list_fast_path_is_byte_identical():
-    floats = [0.1, -0.0, 1e-300, 2.0 / 3.0, 1e22, -5.0, 5e-324]
+    # signed zeros, the extremes and whole numbers, which %.17g and
+    # format(v, ".17g") both print without a decimal point
+    floats = [0.1, -0.0, 0.0, 1e-300, 2.0 / 3.0, 1e22, -5.0, 5e-324, 1e308,
+              1.0, 2.0 ** 53, 3e16, 12345678.0]
     mixed = [0.1, np.float64(0.2), 3, True, None, -0.0, np.int64(4)]
     nested = [[0.5, 0.25], [np.float64(1.5), 2], {"a": [1.0, -0.0]}, 0.75,
               (0.125, 0.5), [], mixed]

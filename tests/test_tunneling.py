@@ -117,6 +117,39 @@ def test_d_u_real_is_real_part_of_complex(u):
     assert real.tobytes() == np.ascontiguousarray(T._d_u(vals, u).real).tobytes()
 
 
+@pytest.mark.parametrize("u", [T.default_ring_u(),
+                               np.cumsum(np.linspace(0.01, 0.08, 60))],
+                         ids=["default", "nonuniform"])
+def test_d_u_signed_zero_columns_match_direct(u):
+    vals = ladder_values(len(u))[..., 0]
+    vals[:, 3] = 0.0
+    vals.real[:, 5] = -0.0
+    vals.imag[:, 5] = -0.0
+    vals.real[:, 8] = -0.0
+    assert T._d_u(vals, u).tobytes() == d_u_direct(vals, u).tobytes()
+    real = np.ascontiguousarray(vals.real)
+    assert T._d_u(real, u).tobytes() == d_u_direct(real, u).tobytes()
+
+
+def test_ladder_weights_built_once_per_sample(monkeypatch):
+    calls = []
+    fd_weights = sp.fd_weights
+
+    def counting(*args):
+        calls.append(args)
+        return fd_weights(*args)
+
+    monkeypatch.setattr(sp, "fd_weights", counting)
+    vp, vm, _ = family_samples(0.4 + 0.1j, np.exp(0.2j))
+    for v in (vp, vm):
+        T.derived_fields(v)
+        T._omega_density(v)
+        T.residual_H(v)
+        T.asymptotic_energy(v, 0.1)
+    T.check_conjugate(T.make_conjugate_pair(vp, vm))
+    assert len(calls) == 2
+
+
 def test_d_theta_matches_per_ring():
     planes = np.ascontiguousarray(np.moveaxis(ladder_values(7), 2, 0))
     expected = np.stack([
