@@ -1,20 +1,22 @@
 """The two sides of a folded map, computed on two threads.
 
-The plus and minus sides (the hemisphere maps u_+/u_- and the tunneling
-maps v_+/v_-) are independent until the conjugacy step couples them on
-the fold.  A run has three phases, each one `both` call: a construction
-builds each side's chart and tunneling map with their energies,
-`verify_folded_holomorphic` checks each side's chart, and
-`check_conjugate` returns each side's omega density and Hopf ratio.
-`both` computes one side on a pooled thread while the caller computes
-the other; numpy's ufuncs and FFTs release the GIL, so the two halves
-overlap.  The pool has exactly one thread because a folded map has
-exactly two sides; it is created on first use, never at import.  It is
-kept rather than started per call because `Thread.join` returns before
-the OS thread has handed back its malloc arena: with glibc, a thread
-started per call then often gets an arena of its own, and every arena
-keeps its own freed memory.  Both halves read the one process-wide
-`config.CONFIG`, which must not change while a call runs.
+The plus and minus sides (u_+/u_- and v_+/v_-) are independent until the
+conjugacy step couples them on the fold.  Each phase of a run is one
+`both` call: the caller runs the first task while a pooled thread runs
+the second, and numpy's ufuncs and FFTs release the GIL, so the two
+overlap.  A degree-1 build gives each side its chart and tunneling map
+with their energies.  A degree-d build has two phases, so its run has
+four: v_+ beside the upper chart, then, with the multiplier solved from
+v_+, the lower chart beside v_-; v_+ errors come before any chart's, and
+the lower-ball error before any of v_-.  `verify_folded_holomorphic`
+checks each side's chart, and `check_conjugate` returns each side's
+derived fields and Hopf ratio.  The pool has exactly one thread because
+a folded map has exactly two sides; it is created on first use, never at
+import.  It is kept rather than started per call because `Thread.join`
+returns before the OS thread has handed back its malloc arena: with
+glibc, a thread started per call then often gets an arena of its own,
+and every arena keeps its own freed memory.  Both halves read the one
+process-wide `config.CONFIG`, which must not change while a call runs.
 """
 
 from __future__ import annotations

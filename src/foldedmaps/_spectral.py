@@ -37,7 +37,8 @@ def theta_derivative(values: np.ndarray, axis: int = 0) -> np.ndarray:
     """Spectral d/dtheta along `axis`; exact for band-limited samples.
 
     One FFT, one multiply and one inverse FFT; the 1/M of the coefficients
-    and the M of the synthesis cancel, so neither is applied.
+    and the M of the synthesis cancel, so neither is applied.  Real data
+    takes the real FFT pair, whose modes 0..M//2 lead `modes(m)`.
     """
     m = values.shape[axis]
     mult = 1j * modes(m)
@@ -45,13 +46,14 @@ def theta_derivative(values: np.ndarray, axis: int = 0) -> np.ndarray:
         # kill the unmatched Nyquist mode of the odd derivative
         mult[m // 2] = 0.0
     shape = [1] * values.ndim
-    shape[axis] = m
+    shape[axis] = -1
+    if np.isrealobj(values):
+        c = np.fft.rfft(values, axis=axis)
+        c *= mult[:m // 2 + 1].reshape(shape)
+        return np.fft.irfft(c, m, axis=axis)
     c = np.fft.fft(values, axis=axis)
     c *= mult.reshape(shape)
-    out = np.fft.ifft(c, axis=axis, out=c)
-    if np.isrealobj(values):
-        return out.real
-    return out
+    return np.fft.ifft(c, axis=axis, out=c)
 
 
 def theta_antiderivative(values: np.ndarray) -> np.ndarray:

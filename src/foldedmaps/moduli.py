@@ -521,18 +521,18 @@ def find_circular_fold(curve: CurveInput) -> float:
     return rho
 
 
-def _curve_planes(curve: CurveInput, f_log: LaurentField, rho: float,
-                  m_res: int, nr: int, side: int
+def _curve_planes(curve: CurveInput, f_log: Optional[LaurentField],
+                  rho: float, m_res: int, nr: int, side: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Radii, weights and the (2, nr, M) value and exact d/dr planes of
     one side's chart in the degree-d construction.
 
     The upper chart (side +1) is the curve w on the fold disk |z| <= rho,
-    with d/dr = e^{i theta} w'(z).  The lower chart is u_- = f w at
-    z = 1/zeta, f = exp(F) (z/rho)^k the multiplier of the log-scale field
-    F: it is sampled on the circles |z| = 1/|zeta| at the angles of z and
-    reindexed to the zeta angle, and d/d|zeta| = -|z|^2 d/dr with
-    d/dr f = f (d/dr F + k/r).
+    with d/dr = e^{i theta} w'(z); it needs no f_log.  The lower chart is
+    u_- = f w at z = 1/zeta, f = exp(F) (z/rho)^k the multiplier of the
+    log-scale field F: it is sampled on the circles |z| = 1/|zeta| at the
+    angles of z and reindexed to the zeta angle, and d/d|zeta| = -|z|^2
+    d/dr with d/dr f = f (d/dr F + k/r), written in `_block_rings` blocks.
     """
     radii, weights = gauss_legendre_radial(nr)
     ph = np.exp(1j * sp.angles(m_res))[None, :]
@@ -543,18 +543,21 @@ def _curve_planes(curve: CurveInput, f_log: LaurentField, rho: float,
         return rho * radii, rho * weights, curve.eval(z), dy
     zeta_r = radii / rho
     zr = 1.0 / zeta_r
-    z = zr[:, None] * ph
-    f = f_log.multiplier_samples(zr)
-    df = f * (f_log.radial_derivative(zr)
-              + f_log.puncture_pole_order / zr[:, None])
     flip = (-np.arange(m_res)) % m_res
     y = np.empty((2, nr, m_res), complex)
     dy = np.empty_like(y)
-    for k, (w, dw) in enumerate(zip(curve.eval(z), curve.derivative(z))):
-        # the multiplier stays the first operand, which decides the
-        # rounding of the product
-        y[k] = (f * w)[:, flip]
-        dy[k] = (df * w + f * (ph * dw))[:, flip]
+    step = _block_rings(16 * m_res)
+    for i0 in range(0, nr, step):
+        rows, r = slice(i0, i0 + step), zr[i0:i0 + step]
+        z = r[:, None] * ph
+        f = f_log.multiplier_samples(r)
+        df = f * (f_log.radial_derivative(r)
+                  + f_log.puncture_pole_order / r[:, None])
+        for k, (w, dw) in enumerate(zip(curve.eval(z), curve.derivative(z))):
+            # the multiplier stays the first operand, which decides the
+            # rounding of the product
+            y[k, rows] = (f * w)[:, flip]
+            dy[k, rows] = (df * w + f * (ph * dw))[:, flip]
     over = np.max(np.sqrt(np.abs(y[0]) ** 2 + np.abs(y[1]) ** 2))
     if over > 1.0 + LOWER_BALL_TOL:
         raise VerificationError(
@@ -571,7 +574,8 @@ def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
     The upper map is the curve inside its fold circle; the lower map is
     the curve rescaled by the normalization multiplier whose log-scale
     object the harmonic engine solves, with the phase pinned through the
-    marker on the limiting characteristic.
+    marker on the limiting characteristic.  Two `both` phases follow that
+    chain: v_+ beside the upper chart, then the lower chart beside v_-.
     """
     nr = nr or CONFIG.grid.radial_nodes
     d = curve.degree
@@ -585,47 +589,52 @@ def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
     th = sp.angles(m_res)
     x = CharacteristicParam(m)
 
-    # tunneling map v_+ = projection of the curve on the exterior
-    vp = sample_tunnel_map(lambda z: _unit(curve.eval(z)), rho, m_res, x, d)
+    def tunnel_plus():
+        # tunneling map v_+ = projection of the curve on the exterior
+        vp = sample_tunnel_map(lambda z: _unit(curve.eval(z)), rho, m_res,
+                               x, d)
+        # immersion floor for pi_F dw near the fold (cylinder-scaled
+        # Fubini-Study derivative of the projected curve)
+        near = vp.ring_u <= 1.0
+        zz = rho * np.exp(vp.ring_u[near])[:, None] * np.exp(1j * th)
+        p, q = curve.eval(zz)
+        dp, dq = curve.derivative(zz)
+        fs = (np.abs(p * dq - q * dp) * np.abs(zz)
+              / (np.abs(p) ** 2 + np.abs(q) ** 2))
+        if float(np.min(fs)) < CONFIG.tol.immersion_floor:
+            raise NonImmersedBoundaryError(
+                f"pi_F dw degenerates near the fold (min {np.min(fs):.3e})")
+        # the data is (v_+^* alpha o j)(d_theta) = -v_+^* alpha(d_u) on sigma
+        return vp, fold_data(vp, -1.0), tunneling_omega_energy(vp)
 
-    # immersion floor for pi_F dw near the fold (cylinder-scaled
-    # Fubini-Study derivative of the projected curve)
-    near = vp.ring_u <= 1.0
-    zz = rho * np.exp(vp.ring_u[near])[:, None] * np.exp(1j * th)[None, :]
-    p, q = curve.eval(zz)
-    dp, dq = curve.derivative(zz)
-    fs = (np.abs(p * dq - q * dp) * np.abs(zz)
-          / (np.abs(p) ** 2 + np.abs(q) ** 2))
-    if float(np.min(fs)) < CONFIG.tol.immersion_floor:
-        raise NonImmersedBoundaryError(
-            f"pi_F dw degenerates near the fold (min {np.min(fs):.3e})")
-
-    # normalization multiplier from the harmonic engine; the data is
-    # (v_+^* alpha o j)(d_theta) = -v_+^* alpha(d_u) on sigma
-    data, t_marker = fold_data(vp, -1.0)
-    if data is None:
-        data = np.zeros(m_res)
-    f_log = solve_f_degree_d(BoundaryLoopSamples(data, rho),
-                             x.point(t_marker), x, d)
-
-    def build_side(side):
-        # chart: upper side on the fold disk, lower side in zeta = 1/z
-        chart = _chart(*_curve_planes(curve, f_log, rho, m_res, nr, side))
-        if side > 0:
-            return _side(chart, vp)
+    def tunnel_minus():
         # tunneling map v_- = projection of f w on the ladder of v_+
         radii_v = vp.radii()
         fw = curve.eval(radii_v[:, None] * np.exp(1j * th)[None, :])
         np.multiply(f_log.multiplier_samples(radii_v), fw, out=fw)
-        return _side(chart, TunnelMapSample(rho, vp.ring_u, _unit(fw), x, -d))
+        vm = TunnelMapSample(rho, vp.ring_u, _unit(fw), x, -d)
+        return vm, tunneling_omega_energy(vm)
 
-    sides = both(build_side, 1, -1)
+    # the first task of a phase runs here and its error wins; charts: the
+    # upper side on the fold disk, the lower side in zeta = 1/z
+    (vp, (data, t_marker), e_vp), chart_p = both(
+        lambda task: task(), tunnel_plus,
+        lambda: _chart(*_curve_planes(curve, None, rho, m_res, nr, 1)))
+    # normalization multiplier from the harmonic engine
+    if data is None:
+        data = np.zeros(m_res)
+    f_log = solve_f_degree_d(BoundaryLoopSamples(data, rho),
+                             x.point(t_marker), x, d)
+    chart_m, (vm, e_vm) = both(
+        lambda task: task(),
+        lambda: _chart(*_curve_planes(curve, f_log, rho, m_res, nr, -1)),
+        tunnel_minus)
 
     boundary_plus = curve.eval(rho * np.exp(1j * th))
     # parametrized by the sigma angle theta
     boundary_minus = f_log.multiplier_samples() * boundary_plus
-    return _assemble(sides, boundary_plus, boundary_minus, 1.0,
-                     f"degree{d}(curve)")
+    return _assemble(((*chart_p, vp, e_vp), (*chart_m, vm, e_vm)),
+                     boundary_plus, boundary_minus, 1.0, f"degree{d}(curve)")
 
 
 # ---------------------------------------------------------------------------

@@ -442,17 +442,27 @@ def test_error_on_the_pooled_side_keeps_its_exit_code(tmp_path, capsys,
 def test_lower_ball_violation_is_a_verification_error(tmp_path, capsys,
                                                       monkeypatch):
     # a multiplier twice too large puts |f w| above 1 on the lower chart,
-    # which is built on the pooled side thread
-    from foldedmaps import harmonic
+    # which is built on the calling thread while the pooled side thread
+    # builds v_- from the same multiplier
+    from foldedmaps import harmonic, moduli
+    from foldedmaps.errors import VerificationError
 
     threads = []
     samples = harmonic.LaurentField.multiplier_samples
+    curve_planes = moduli._curve_planes
 
     def doubled(self, r=None):
-        threads.append(threading.current_thread().name)
         return 2.0 * samples(self, r)
 
+    def recording(*args):
+        try:
+            return curve_planes(*args)
+        except VerificationError:
+            threads.append(threading.current_thread().name)
+            raise
+
     monkeypatch.setattr(harmonic.LaurentField, "multiplier_samples", doubled)
+    monkeypatch.setattr(moduli, "_curve_planes", recording)
     curve = _curve_file(tmp_path, [0, 0, 0.8], [0.6])
     capsys.readouterr()
     assert run(["degree-d", "--curve", curve, "--resolution", "64",
@@ -461,5 +471,5 @@ def test_lower_ball_violation_is_a_verification_error(tmp_path, capsys,
     assert err.startswith("verification error: |f w| exceeds 1 on the "
                           "lower domain")
     assert "Traceback" not in err
-    assert threads and threads[0].startswith("foldedmaps-side")
+    assert threads == [threading.current_thread().name]
     assert not (tmp_path / "r.json").exists()

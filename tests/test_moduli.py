@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import sys
 import threading
 
@@ -351,7 +352,9 @@ def test_concurrent_callers_match_one_thread_multi_block():
 
 
 def test_each_op_makes_one_both_call_per_phase(monkeypatch, tmp_path):
-    # construction, chart checks and conjugacy check: one call each
+    # construction, chart checks and conjugacy check: one call each; a
+    # degree-d construction has two phases, v_+ beside the upper chart
+    # and then the lower chart beside v_-
     calls = []
 
     def counted(f, plus, minus):
@@ -369,7 +372,7 @@ def test_each_op_makes_one_both_call_per_phase(monkeypatch, tmp_path):
     r0 = np.sqrt(1 - abs(c) ** 2)
     curve = Mo.CurveInput(np.array([0, 0, 0, r0 * m]), np.array([m * c]), m)
     Mo.verify_folded_holomorphic(Mo.construct_degree_d(curve, m, M_RES, NR))
-    assert len(calls) == 3
+    assert len(calls) == 4
 
 
 def test_degree2_curve_passes():
@@ -489,25 +492,120 @@ def test_degree_d_chart_energies_and_values(d, m_res, monkeypatch):
     assert bundle.chart_minus.planes.tobytes() == y_minus.tobytes()
 
 
-def test_lower_chart_derivative_follows_a_varying_multiplier():
-    # the curves tried give a nearly constant normalization field (its
-    # non-constant modes at most 1e-9), so the lower chart's d/dr term in
-    # dF/dr is checked on a field with modes -1 and -2; Re F < 0 on the
-    # fold keeps |f w| below 1
+def _varying_multiplier(m_res):
+    """A degree-2 curve, its fold radius and a log-scale field F with
+    modes -1 and -2; Re F < 0 on the fold keeps |f w| below 1."""
     m = np.exp(0.9j)
     curve = Mo.CurveInput(np.array([0, 0, np.sqrt(0.84) * m]),
                           np.array([0.4 * m]), m)
     rho = Mo.find_circular_fold(curve)
-    n = sp.modes(M_RES)
-    coeffs = np.zeros(M_RES, complex)
+    n = sp.modes(m_res)
+    coeffs = np.zeros(m_res, complex)
     coeffs[0] = -0.05 + 0.3j
     coeffs[n == -1] = 0.02
     coeffs[n == -2] = 0.01j
-    f_log = H.LaurentField(H.ExteriorPunctured(rho), coeffs, -4)
+    return curve, rho, H.LaurentField(H.ExteriorPunctured(rho), coeffs, -4)
+
+
+def test_lower_chart_derivative_follows_a_varying_multiplier():
+    # the curves tried give a nearly constant normalization field (its
+    # non-constant modes at most 1e-9), so the lower chart's d/dr term in
+    # dF/dr is checked on a field with modes -1 and -2
+    curve, rho, f_log = _varying_multiplier(M_RES)
     chart, energy = Mo._chart(*Mo._curve_planes(curve, f_log, rho, M_RES,
                                                 NR, -1))
     ref = S.omega_energy(chart.planes, chart.radii, chart.weights)
     assert abs(energy - ref) <= 1e-12 * abs(ref)
+
+
+def _lower_planes_one_pass(curve, f_log, rho, m_res, nr):
+    # the lower chart of `_curve_planes` with every ring in one pass
+    radii, weights = S.gauss_legendre_radial(nr)
+    ph = np.exp(1j * sp.angles(m_res))[None, :]
+    zeta_r = radii / rho
+    zr = 1.0 / zeta_r
+    z = zr[:, None] * ph
+    f = f_log.multiplier_samples(zr)
+    df = f * (f_log.radial_derivative(zr)
+              + f_log.puncture_pole_order / zr[:, None])
+    flip = (-np.arange(m_res)) % m_res
+    y = np.empty((2, nr, m_res), complex)
+    dy = np.empty_like(y)
+    for k, (w, dw) in enumerate(zip(curve.eval(z), curve.derivative(z))):
+        y[k] = (f * w)[:, flip]
+        dy[k] = (df * w + f * (ph * dw))[:, flip]
+    dy *= -(zr ** 2)[:, None]
+    return zeta_r, weights / rho, y, dy
+
+
+@pytest.mark.parametrize("m_res", [64, 256, 1024])
+def test_lower_chart_blocks_match_one_pass(m_res):
+    # one block of the NR = 48 rings at M = 64 and 256, three at M = 1024
+    curve, rho, f_log = _varying_multiplier(m_res)
+    assert (S._block_rings(16 * m_res) < NR) == (m_res == 1024)
+    got = Mo._curve_planes(curve, f_log, rho, m_res, NR, -1)
+    expected = _lower_planes_one_pass(curve, f_log, rho, m_res, NR)
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
+
+
+def _inline(f, plus, minus):
+    return f(plus), f(minus)
+
+
+def _power_curve(degree, c=0.35 + 0.25j, m=np.exp(0.9j)):
+    r0 = np.sqrt(1 - abs(c) ** 2)
+    return Mo.CurveInput(np.r_[np.zeros(degree), r0 * m], np.array([m * c]),
+                         m)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_degree_d_phases_match_an_inline_run(degree, monkeypatch):
+    # the two phases of the construction share one side thread; with both
+    # halves of every phase run inline on the caller, every sampled plane,
+    # energy and report byte is the same
+    curve = _power_curve(degree)
+    pooled = Mo.construct_degree_d(curve, curve.m, M_RES, NR)
+    pooled_text = _report_text(lambda: pooled)
+    monkeypatch.setattr(Mo, "both", _inline)
+    inline = Mo.construct_degree_d(curve, curve.m, M_RES, NR)
+    for a, b in ((pooled.chart_plus, inline.chart_plus),
+                 (pooled.chart_minus, inline.chart_minus),
+                 (pooled.pair.v_plus, inline.pair.v_plus),
+                 (pooled.pair.v_minus, inline.pair.v_minus)):
+        assert a.planes.tobytes() == b.planes.tobytes()
+    assert pooled.energies == inline.energies
+    assert _report_text(lambda: inline) == pooled_text
+
+
+@pytest.mark.parametrize("schedule", ["pooled", "inline"])
+def test_degree_d_failures_keep_their_exit_codes(schedule, tmp_path,
+                                                 monkeypatch, capsys):
+    if schedule == "inline":
+        monkeypatch.setattr(Mo, "both", _inline)
+    path = tmp_path / "curve.json"
+
+    def exit_code(p, q):
+        path.write_text(json.dumps({"p": [[v, 0.0] for v in p],
+                                    "q": [[v, 0.0] for v in q],
+                                    "m": [1.0, 0.0]}))
+        return cli.main(["degree-d", "--curve", str(path), "--resolution",
+                         "64", "--out", str(tmp_path / "r.json")])
+
+    # a fold that is not a circle, a curve whose Hopf projection is
+    # constant, and a multiplier twice too large for the lower ball
+    assert exit_code([5.0, 1.0], [0.1]) == cli.EXIT_TIER
+    assert exit_code([0.0, 1.0], []) == cli.EXIT_INPUT
+    samples = H.LaurentField.multiplier_samples
+    monkeypatch.setattr(H.LaurentField, "multiplier_samples",
+                        lambda self, r=None: 2.0 * samples(self, r))
+    assert exit_code([0.0, 0.0, 0.8], [0.6]) == cli.EXIT_VERIFY
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == [
+        "tier violation", "input error", "verification error"]
+    assert "degenerates near the fold" in err[1]
+    assert "exceeds 1 on the lower domain" in err[2]
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_constructions_make_no_barycentric_energy_call(monkeypatch):

@@ -131,6 +131,13 @@ def test_d_u_signed_zero_columns_match_direct(u):
     assert T._d_u(real, u).tobytes() == d_u_direct(real, u).tobytes()
 
 
+def omega_density(v):
+    """Pullback of omega_Z = d(alpha) in the (u, theta) coordinates of
+    one sample: the oracle of the difference route of check_conjugate."""
+    d = T.derived_fields(v)
+    return T._d_u(d.alpha_t, v.ring_u, d.weights) - T._d_theta(d.alpha_u)
+
+
 def test_ladder_weights_built_once_per_sample(monkeypatch):
     calls = []
     fd_weights = sp.fd_weights
@@ -143,7 +150,7 @@ def test_ladder_weights_built_once_per_sample(monkeypatch):
     vp, vm, _ = family_samples(0.4 + 0.1j, np.exp(0.2j))
     for v in (vp, vm):
         T.derived_fields(v)
-        T._omega_density(v)
+        omega_density(v)
         T.residual_H(v)
         T.asymptotic_energy(v, 0.1)
     T.check_conjugate(T.make_conjugate_pair(vp, vm))
@@ -159,6 +166,27 @@ def test_d_theta_matches_per_ring():
     real = planes[0].real
     expected = np.stack([sp.theta_derivative(real[i]) for i in range(7)])
     assert np.ascontiguousarray(T._d_theta(real)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("m", [16, 15])
+def test_real_theta_derivative_rows_match_1d_calls(m):
+    x = RNG.normal(size=(7, m))
+    out = sp.theta_derivative(x, axis=-1)
+    assert out.dtype == np.float64
+    for i in range(7):
+        assert out[i].tobytes() == sp.theta_derivative(x[i]).tobytes()
+
+
+@pytest.mark.parametrize("m", [16, 15, 256, 255])
+def test_real_theta_derivative_matches_complex_route(m):
+    # the real FFT pair and the complex one, Nyquist mode included
+    x = RNG.normal(size=(5, m))
+    for axis, data in ((-1, x), (0, x.T)):
+        real = sp.theta_derivative(data, axis=axis)
+        full = sp.theta_derivative(data.astype(complex), axis=axis)
+        scale = float(np.max(np.abs(full)))
+        assert float(np.max(np.abs(real - full.real))) <= 1e-13 * scale
+        assert float(np.max(np.abs(full.imag))) <= 1e-13 * scale
 
 
 def test_d_u_stencil_is_per_ladder():
@@ -495,6 +523,50 @@ def test_check_conjugate_family():
         vp, vm, x = family_samples(c, m)
         rep = T.check_conjugate(T.make_conjugate_pair(vp, vm))
         assert rep.max_residual() < 1e-8, (c, m, rep)
+
+
+def _degree3_pair():
+    from foldedmaps import moduli as Mo
+    c, m = 0.35 + 0.25j, np.exp(0.9j)
+    r0 = np.sqrt(1 - abs(c) ** 2)
+    curve = Mo.CurveInput(np.array([0, 0, 0, r0 * m]), np.array([m * c]), m)
+    return Mo.construct_degree_d(curve, m, 128, 24).pair
+
+
+def _ring_tampered_pair():
+    # one ring of v_- turned by e^{0.01 i sin theta}, which keeps it on
+    # S^3; the ring is near the fold, where v_- still varies along u:
+    # far out the turn is nearly a change of gauge, which omega ignores
+    # (6e-7 on ring 100, 1.1e-3 on ring 4)
+    vp, vm, _ = family_samples(0.4 + 0.1j, np.exp(0.2j))
+    planes = vm.planes.copy()
+    planes[:, 4] *= np.exp(0.01j * np.sin(sp.angles(vm.m)))
+    return T.make_conjugate_pair(
+        vp, T.TunnelMapSample(vm.rho, vm.ring_u, planes, vm.x, vm.degree))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: T.make_conjugate_pair(*family_samples(0.4 + 0.1j,
+                                                  np.exp(0.2j))[:2]),
+    _degree3_pair, _ring_tampered_pair], ids=["degree1", "degree3",
+                                              "tampered"])
+def test_omega_residual_matches_per_side_oracle(make):
+    # the residual takes d of the plus-minus difference of the contact
+    # pullbacks; the oracle differences each side's omega density
+    pair = make()
+    omega = T.check_conjugate(pair).omega_residual
+    oracle = float(np.max(np.abs(omega_density(pair.v_plus)
+                                 - omega_density(pair.v_minus))))
+    assert abs(omega - oracle) <= 1e-13
+    assert (omega > 1e-4) == (make is _ring_tampered_pair)
+
+
+def test_check_conjugate_rejects_samples_on_different_ladders():
+    vp, vm, _ = family_samples(0.4 + 0.1j, np.exp(0.2j))
+    u = vm.ring_u * 1.01
+    other = T.TunnelMapSample(vm.rho, u, vm.planes, vm.x, vm.degree)
+    with pytest.raises(DomainError, match="different grids"):
+        T.check_conjugate(T.make_conjugate_pair(vp, other))
 
 
 def test_conjugate_base_projections_agree():
