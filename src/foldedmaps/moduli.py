@@ -24,9 +24,9 @@ from .harmonic import BoundaryLoopSamples, LaurentField, solve_f_degree_d
 from .sphere import (CharacteristicParam, FoldPoint, ProjectivePoint,
                      _block_rings, chart_omega_energy, gauss_legendre_radial,
                      hopf_project)
-from .tunneling import (ConjugacyReport, ConjugatePair, TunnelMapSample,
-                        check_conjugate, default_ring_u, fold_data,
-                        make_conjugate_pair, sample_tunnel_map,
+from .tunneling import (ConjugacyReport, ConjugatePair, Ladder,
+                        TunnelMapSample, check_conjugate, default_ladder,
+                        fold_data, make_conjugate_pair, sample_tunnel_map,
                         tunneling_omega_energy)
 
 TWO_PI = 2.0 * np.pi
@@ -113,15 +113,17 @@ class ChartGrid:
         outer = (np.fft.fft(planes[:, -1], axis=-1) / m)[:, None, pos]
         scale = res_pos = res_neg = 0.0
         step = _block_rings(16 * m)
+        # np.maximum, unlike max, keeps a NaN of either operand
         for i0 in range(0, len(r), step):
             block = planes[:, i0:i0 + step]
             coef = np.fft.fft(block, axis=-1) / m
             ratio = (r[i0:i0 + step, None] / r[-1]) ** n_pos
-            scale = max(scale, float(np.max(np.abs(block))))
-            res_pos = max(res_pos, float(np.max(np.abs(
-                coef[..., pos] - outer * ratio))))
-            res_neg = max(res_neg, float(np.max(np.abs(coef[..., neg]))))
-        return max(res_pos, res_neg) / max(scale, 1e-300)
+            scale = np.maximum(scale, np.max(np.abs(block)))
+            res_pos = np.maximum(res_pos, np.max(np.abs(
+                coef[..., pos] - outer * ratio)))
+            res_neg = np.maximum(res_neg, np.max(np.abs(coef[..., neg])))
+        return float(np.maximum(res_pos, res_neg)
+                     / np.maximum(scale, 1e-300))
 
     def sign_violation(self, side: int) -> float:
         """How far det(omega) on the chart falls short of the side's sign.
@@ -130,7 +132,8 @@ class ChartGrid:
         lower one, whose transverse coordinate is -x0.
         """
         tau = det_omega_closed_form(side * _x0(self.planes))
-        return float(max(0.0, -np.min(side * tau)))
+        # keeps NaN; a tie returns the second operand, so -0.0 reads +0.0
+        return float(np.maximum(-np.min(side * tau), 0.0))
 
 
 @dataclass
@@ -188,11 +191,11 @@ class VerificationReport:
 
     def as_dict(self) -> dict[str, float]:
         """The residual fields in declaration order, the conjugacy report
-        by its maximum, then the maximum of them all."""
+        by its maximum, then the maximum of them all, NaN if any is."""
         out = {f.name: getattr(self, f.name) for f in fields(self)
                if f.name != "conjugacy"}
         out["conjugacy_max"] = self.conjugacy_max
-        out["max_residual"] = max(out.values())
+        out["max_residual"] = float(np.max(list(out.values())))
         return out
 
 
@@ -257,9 +260,9 @@ def _unit(planes: np.ndarray) -> np.ndarray:
     return planes
 
 
-def _family_ladder(c: complex, m: complex, m_res: int,
-                   side: int) -> TunnelMapSample:
-    """One side's tunneling map of the degree-1 family on the default ladder.
+def _family_ladder(c: complex, m: complex, m_res: int, side: int,
+                   ladder: Ladder) -> TunnelMapSample:
+    """One side's tunneling map of the degree-1 family on the ladder.
 
     With r = r0 e^u and s = sqrt(r^2 + |c|^2),
     v_+ = (m e^{i theta} r/s, m c/s) and
@@ -269,8 +272,7 @@ def _family_ladder(c: complex, m: complex, m_res: int,
     e^{i theta} read at the exact indices (-k) mod M and (-2k) mod M.
     """
     r0 = np.sqrt(1.0 - abs(c) ** 2)
-    ring_u = default_ring_u()
-    r = r0 * np.exp(ring_u)
+    r = r0 * np.exp(ladder.u)
     s = np.sqrt(r * r + abs(c) ** 2)
     ph = np.exp(1j * sp.angles(m_res))
     if side > 0:
@@ -281,7 +283,7 @@ def _family_ladder(c: complex, m: complex, m_res: int,
     planes = np.empty((2, len(r), m_res), complex)
     np.multiply((r / s)[:, None], m * ph0, out=planes[0])
     np.multiply((1.0 / s)[:, None], m * c * ph1, out=planes[1])
-    return TunnelMapSample(r0, ring_u, planes, CharacteristicParam(m), side)
+    return TunnelMapSample(r0, ladder, planes, CharacteristicParam(m), side)
 
 
 def _side(chart: tuple[ChartGrid, float], v: TunnelMapSample
@@ -327,10 +329,11 @@ def degree1_family(param: ModuliParam, m_res: int,
 
     r0 = np.sqrt(1.0 - abs(c) ** 2)
     th = sp.angles(m_res)
+    ladder = default_ladder()
 
     def sample_side(side):
         return _side(_chart(*_family_planes(c, m, m_res, nr, side)),
-                     _family_ladder(c, m, m_res, side))
+                     _family_ladder(c, m, m_res, side, ladder))
 
     sides = both(sample_side, 1, -1)
 
@@ -361,10 +364,9 @@ def verify_folded_holomorphic(bundle: FoldedMapBundle) -> VerificationReport:
     (holo_p, viol_p), (holo_m, viol_m) = both(
         chart_checks, (bundle.chart_plus, 1), (bundle.chart_minus, -1))
 
-    tau_b = float(max(
-        np.max(np.abs(det_omega_closed_form(_x0(bundle.boundary_plus)))),
-        np.max(np.abs(det_omega_closed_form(_x0(bundle.boundary_minus))))))
-    tau_sign = max(viol_p, viol_m)
+    tau_b = float(np.max(np.abs(det_omega_closed_form(_x0(np.concatenate(
+        [bundle.boundary_plus, bundle.boundary_minus], axis=-1))))))
+    tau_sign = float(np.maximum(viol_p, viol_m))
 
     match_p = float(np.max(np.abs(bundle.boundary_plus
                                   - bundle.pair.v_plus.boundary())))
@@ -559,7 +561,7 @@ def _curve_planes(curve: CurveInput, f_log: Optional[LaurentField],
             y[k, rows] = (f * w)[:, flip]
             dy[k, rows] = (df * w + f * (ph * dw))[:, flip]
     over = np.max(np.sqrt(np.abs(y[0]) ** 2 + np.abs(y[1]) ** 2))
-    if over > 1.0 + LOWER_BALL_TOL:
+    if not over <= 1.0 + LOWER_BALL_TOL:       # negated, so NaN fails too
         raise VerificationError(
             f"|f w| exceeds 1 on the lower domain (max {over:.6f}); "
             "the curve leaves the lower hemisphere")
@@ -595,8 +597,8 @@ def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
                                x, d)
         # immersion floor for pi_F dw near the fold (cylinder-scaled
         # Fubini-Study derivative of the projected curve)
-        near = vp.ring_u <= 1.0
-        zz = rho * np.exp(vp.ring_u[near])[:, None] * np.exp(1j * th)
+        near = vp.ladder.u <= 1.0
+        zz = rho * np.exp(vp.ladder.u[near])[:, None] * np.exp(1j * th)
         p, q = curve.eval(zz)
         dp, dq = curve.derivative(zz)
         fs = (np.abs(p * dq - q * dp) * np.abs(zz)
@@ -612,7 +614,7 @@ def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
         radii_v = vp.radii()
         fw = curve.eval(radii_v[:, None] * np.exp(1j * th)[None, :])
         np.multiply(f_log.multiplier_samples(radii_v), fw, out=fw)
-        vm = TunnelMapSample(rho, vp.ring_u, _unit(fw), x, -d)
+        vm = TunnelMapSample(rho, vp.ladder, _unit(fw), x, -d)
         return vm, tunneling_omega_energy(vm)
 
     # the first task of a phase runs here and its error wins; charts: the

@@ -37,8 +37,82 @@ HOPF_MODE_FLOOR = 1e-14       # leading Hopf mode too small to have a phase
 HOPF_MODE_MISMATCH_FLOOR = 1e-12  # a larger unmatched mode is a mismatch
 
 
-def default_ring_u(u_max: float = 8.0, spacing: float = 0.04) -> np.ndarray:
-    return np.arange(0.0, u_max + 0.5 * spacing, spacing)
+# ---------------------------------------------------------------------------
+# the ring ladder and derivatives on it
+
+
+class Ladder:
+    """The rings u of a ladder |z| = rho e^u and their d/du stencil.
+
+    `u` is a read-only copy of the rings: finite, strictly increasing and
+    at least 3.  `weights[i]` are the read-only Fornberg weights (Math.
+    Comp. 51 (1988) 699-706) of d/du at ring i over the WIDTH rings
+    centred on it, shifted inward at the two ends.  One ladder is built
+    per construction and shared by its samples.
+    """
+
+    WIDTH = 9       # eighth order on a uniform ladder
+
+    def __init__(self, u):
+        u = np.array(u, dtype=float)
+        # negated, so NaN rings fail it too
+        if not (u.ndim == 1 and len(u) >= 3 and np.all(np.isfinite(u))
+                and np.all(np.diff(u) > 0)):
+            raise DomainError("a ring ladder needs at least 3 finite, "
+                              "strictly increasing rings")
+        r, width = len(u), min(self.WIDTH, len(u))
+        lo = np.clip(np.arange(r) - width // 2, 0, r - width)
+        self.u = u
+        self.weights = sp.fd_weights(u[lo[:, None] + np.arange(width)], u, 1)
+        u.flags.writeable = self.weights.flags.writeable = False
+
+    def d_u_rows(self, out: np.ndarray, x: np.ndarray, i0: int,
+                 i1: int) -> None:
+        """Rows [i0, i1) of d/du of the float ladder x (R, n) into out.
+
+        The edge rows at either end share one window; the rows between have
+        centred windows, read as a sliding window view of x.  Each row block
+        is one einsum contraction over the window, summed left to right.
+        """
+        w = self.weights
+        r, width = x.shape[0], w.shape[1]
+        half = width // 2
+        hi = r - width + half + 1          # rows [half, hi) are centred
+        a = min(max(i0, half), i1)
+        b = min(max(i0, hi), i1)
+        if a > i0:
+            np.einsum("kj,jm->km", w[i0:a], x[:width], out=out[:a - i0])
+        if b > a:
+            windows = sliding_window_view(x, width, axis=0)[a - half:b - half]
+            np.einsum("kj,kmj->km", w[a:b], windows, out=out[a - i0:b - i0])
+        if i1 > b:
+            np.einsum("kj,jm->km", w[b:i1], x[r - width:], out=out[b - i0:])
+
+    def d_u(self, values: np.ndarray) -> np.ndarray:
+        """d/du along axis 0 of ladder data (R, ...).
+
+        Each row is +0.0 plus its stencil terms, added left to right, taken
+        on the float64 view (complex data as interleaved re/im) by plain
+        NumPy multiply-adds without BLAS or temporaries; so a row whose terms
+        are all -0.0 is +0.0.  Real data gives real output.
+        """
+        r = values.shape[0]
+        x = np.ascontiguousarray(values).reshape(r, -1)
+        if np.iscomplexobj(x):
+            x = x.view(float)
+        out = np.empty_like(x)
+        self.d_u_rows(out, x, 0, r)
+        return out.view(values.dtype).reshape(values.shape)
+
+
+def default_ladder() -> Ladder:
+    """The ladder u = 0, 0.04, ..., 8 (201 rings) of every construction."""
+    return Ladder(np.arange(0.0, 8.02, 0.04))
+
+
+def _d_theta(values: np.ndarray) -> np.ndarray:
+    """Spectral d/dtheta of ladder data (..., M), one FFT along the angles."""
+    return sp.theta_derivative(values, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -50,16 +124,16 @@ class TunnelMapSample:
     """Tunneling map samples on a ring ladder of its exterior domain.
 
     planes[c, i, k] is component c of the unit C^2 value at
-    z = rho e^{ring_u[i]} e^{i theta_k}; ring_u[0] = 0 is the domain fold
+    z = rho e^{u_i} e^{i theta_k}, u = ladder.u; u_0 = 0 is the domain fold
     sigma.  The planes are two C-contiguous (R, M) arrays, so every kernel
     runs along the contiguous angle axis.  `x` and `degree` record the
     limiting closed characteristic and the puncture multiplicity.
-    `planes` and `ring_u` are read-only views, so the derived fields
-    cached on the sample stay in step with them.
+    `planes` is a read-only view and the ladder is read-only, so the
+    derived fields cached on the sample stay in step with them.
     """
 
     rho: float
-    ring_u: np.ndarray
+    ladder: Ladder
     planes: np.ndarray             # (2, R, M) complex
     x: CharacteristicParam
     degree: int
@@ -67,17 +141,13 @@ class TunnelMapSample:
                                          repr=False, compare=False)
 
     def __post_init__(self):
-        # views, so the caller's arrays stay writable
-        self.ring_u = np.asarray(self.ring_u, dtype=float).view()
+        # a view, so the caller's array stays writable
         self.planes = np.ascontiguousarray(self.planes, dtype=complex).view()
         if self.planes.ndim != 3 or self.planes.shape[0] != 2:
             raise DomainError("planes must have shape (2, R, M)")
-        self.ring_u.flags.writeable = False
         self.planes.flags.writeable = False
-        if self.n_rings != len(self.ring_u):
+        if self.n_rings != len(self.ladder.u):
             raise DomainError("ring ladder shape mismatch")
-        if np.any(np.diff(self.ring_u) <= 0):
-            raise DomainError("ring radii must be strictly increasing")
         # swept in ring blocks, so the norm temporaries stay block-sized;
         # the negated test rejects NaN samples too
         a, b = self.planes
@@ -102,7 +172,7 @@ class TunnelMapSample:
         return self.planes.shape[1]
 
     def radii(self) -> np.ndarray:
-        return self.rho * np.exp(self.ring_u)
+        return self.rho * np.exp(self.ladder.u)
 
     def boundary(self) -> np.ndarray:
         """The (2, M) samples on the domain fold sigma."""
@@ -111,82 +181,13 @@ class TunnelMapSample:
 
 def sample_tunnel_map(fn: Callable[[np.ndarray], np.ndarray], rho: float,
                       m: int, x: CharacteristicParam, degree: int,
-                      ring_u: Optional[np.ndarray] = None) -> TunnelMapSample:
-    """Sample fn(z) -> unit C^2 values (2, ...) over the default ring ladder."""
-    if ring_u is None:
-        ring_u = default_ring_u()
+                      ladder: Optional[Ladder] = None) -> TunnelMapSample:
+    """Sample fn(z) -> unit C^2 values (2, ...) over a ring ladder."""
+    if ladder is None:
+        ladder = default_ladder()
     th = sp.angles(m)
-    z = rho * np.exp(ring_u)[:, None] * np.exp(1j * th)[None, :]
-    return TunnelMapSample(rho, ring_u, fn(z), x, degree)
-
-
-# ---------------------------------------------------------------------------
-# derivatives on the ladder
-
-
-def _d_theta(values: np.ndarray) -> np.ndarray:
-    """Spectral d/dtheta of ladder data (..., M), one FFT along the angles."""
-    return sp.theta_derivative(values, axis=-1)
-
-
-# d/du stencil width: 9 rings, eighth order on a uniform ladder
-_D_U_WIDTH = 9
-
-
-def _d_u_rows(out: np.ndarray, weights: np.ndarray, x: np.ndarray, i0: int,
-              i1: int) -> None:
-    """Rows [i0, i1) of d/du of the float ladder x (R, n) into out.
-
-    The edge rows at either end share one window; the rows between have
-    centred windows, read as a sliding window view of x.  Each row block
-    is one einsum contraction over the window, summed left to right.
-    """
-    r, width = x.shape[0], weights.shape[1]
-    half = width // 2
-    hi = r - width + half + 1          # rows [half, hi) have centred windows
-    a = min(max(i0, half), i1)
-    b = min(max(i0, hi), i1)
-    if a > i0:
-        np.einsum("kj,jm->km", weights[i0:a], x[:width], out=out[:a - i0])
-    if b > a:
-        windows = sliding_window_view(x, width, axis=0)[a - half:b - half]
-        np.einsum("kj,kmj->km", weights[a:b], windows, out=out[a - i0:b - i0])
-    if i1 > b:
-        np.einsum("kj,jm->km", weights[b:i1], x[r - width:], out=out[b - i0:])
-
-
-def _ladder_weights(u: np.ndarray) -> np.ndarray:
-    """Fornberg d/du weights (R, width) of a ladder, one row per ring.
-
-    Each ring's window is the `_D_U_WIDTH` rings centred on it, shifted
-    inward at the two ends, as `_d_u_rows` reads them.
-    """
-    u = np.asarray(u, dtype=float)
-    r = len(u)
-    width = min(_D_U_WIDTH, r)
-    starts = np.minimum(np.maximum(np.arange(r) - width // 2, 0), r - width)
-    return sp.fd_weights(u[starts[:, None] + np.arange(width)], u, 1)
-
-
-def _d_u(values: np.ndarray, u: np.ndarray,
-         weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """d/du along axis 0 of ladder data (R, ...), windowed Fornberg stencils.
-
-    Each row is +0.0 plus its stencil terms, added left to right, taken
-    on the float64 view (complex data as interleaved re/im) by plain
-    NumPy multiply-adds without BLAS or temporaries; so a row whose terms
-    are all -0.0 is +0.0.  Real data gives real output.  `weights` are
-    the ladder's `_ladder_weights(u)`, built here when not given.
-    """
-    r = values.shape[0]
-    if weights is None:
-        weights = _ladder_weights(u)
-    x = np.ascontiguousarray(values).reshape(r, -1)
-    if np.iscomplexobj(x):
-        x = x.view(float)
-    out = np.empty_like(x)
-    _d_u_rows(out, weights, x, 0, r)
-    return out.view(values.dtype).reshape(values.shape)
+    z = rho * np.exp(ladder.u)[:, None] * np.exp(1j * th)[None, :]
+    return TunnelMapSample(rho, ladder, fn(z), x, degree)
 
 
 @dataclass
@@ -196,7 +197,6 @@ class _Derived:
     alpha_t: np.ndarray    # (R, M)  v*alpha(d_theta)
     alpha_u: np.ndarray    # (R, M)  v*alpha(d_u)
     chi_sigma: np.ndarray  # (M,)    F-coefficient of dv(d_theta) on sigma
-    weights: np.ndarray    # (R, 9)  d/du weights of the ladder
 
 
 def _alpha_rows(out: np.ndarray, ca: np.ndarray, cb: np.ndarray,
@@ -219,15 +219,13 @@ def derived_fields(v: TunnelMapSample) -> _Derived:
     """v*alpha along d_theta and d_u on every ring, chi on sigma; cached.
 
     One pass over ring blocks: d/du, the conjugates and the products live
-    only per block, and the fields are written into their outputs, with
-    the ladder's d/du weights for later d/du calls on the sample.
+    only per block, and the fields are written into their outputs.
     """
     if v._derived is not None:
         return v._derived
     a, b = v.planes
     r, m = a.shape
     dth_a, dth_b = _d_theta(v.planes)
-    weights = _ladder_weights(v.ring_u)
     x = v.planes.view(float)                   # (2, R, 2M)
     alpha_t = np.empty((r, m))
     alpha_u = np.empty((r, m))
@@ -239,8 +237,8 @@ def derived_fields(v: TunnelMapSample) -> _Derived:
     for i0 in range(0, r, step):
         i1 = min(i0 + step, r)
         n = i1 - i0
-        _d_u_rows(du[0, :n], weights, x[0], i0, i1)
-        _d_u_rows(du[1, :n], weights, x[1], i0, i1)
+        v.ladder.d_u_rows(du[0, :n], x[0], i0, i1)
+        v.ladder.d_u_rows(du[1, :n], x[1], i0, i1)
         du_a, du_b = du[:, :n].view(complex)
         ca = np.conj(a[i0:i1], out=conj[0, :n])
         cb = np.conj(b[i0:i1], out=conj[1, :n])
@@ -249,7 +247,7 @@ def derived_fields(v: TunnelMapSample) -> _Derived:
         _alpha_rows(alpha_u[i0:i1], ca, cb, du_a, du_b, ta[:n], tb[:n])
     # F-coefficient against the contact frame (-conj w, conj z) pointwise
     chi_sigma = 0.0 + (-b[0]) * dth_a[0] + a[0] * dth_b[0]
-    v._derived = _Derived(alpha_t, alpha_u, chi_sigma, weights)
+    v._derived = _Derived(alpha_t, alpha_u, chi_sigma)
     return v._derived
 
 
@@ -279,11 +277,9 @@ def residual_H(v: TunnelMapSample) -> HResidual:
     weight); the L-part is the closedness defect of the rotated pullback
     of the contact form.
     """
-    if v.n_rings < 3:
-        raise DomainError("need at least 3 rings for derivative estimates")
     d = derived_fields(v)
     h = hopf_ratio(v)
-    h_u = _d_u(h, v.ring_u, d.weights)
+    h_u = v.ladder.d_u(h)
     h_t = _d_theta(h)
     dbar = 0.5 * (h_u + 1j * h_t)
     f_res = float(np.max(np.abs(dbar) / (1.0 + np.abs(h) ** 2)))
@@ -291,7 +287,7 @@ def residual_H(v: TunnelMapSample) -> HResidual:
     # (v*alpha o j) has components (alpha_t, -alpha_u) on (d_u, d_theta)
     lam_u = d.alpha_t
     lam_t = -d.alpha_u
-    closed = _d_u(lam_t, v.ring_u, d.weights) - _d_theta(lam_u)
+    closed = v.ladder.d_u(lam_t) - _d_theta(lam_u)
     l_res = float(np.max(np.abs(closed)))
     return HResidual(f_res, l_res)
 
@@ -335,18 +331,17 @@ def asymptotic_energy(v: TunnelMapSample, delta: float) -> EnergyProfile:
         raise DomainError(
             f"weight delta must lie in (0, {CONFIG.tol.delta_max}]")
     d = derived_fields(v)
-    s = v.ring_u / TWO_PI
+    s = v.ladder.u / TWO_PI
     a_s = TWO_PI * d.alpha_u
     a_t = TWO_PI * d.alpha_t
-    a_t_s = TWO_PI * _d_u(a_t, v.ring_u, d.weights)
+    a_t_s = TWO_PI * v.ladder.d_u(a_t)
     a_t_t = TWO_PI * _d_theta(a_t)
     # F-coefficients of dv(d_theta) and dv(d_u) on every ring, needed here
     # only, so built here and not cached
     a, b = v.planes
     dth_a, dth_b = _d_theta(v.planes)
     chi_t = 0.0 + (-b) * dth_a + a * dth_b
-    chi_u = (0.0 + (-b) * _d_u(a, v.ring_u, d.weights)
-             + a * _d_u(b, v.ring_u, d.weights))
+    chi_u = 0.0 + (-b) * v.ladder.d_u(a) + a * v.ladder.d_u(b)
     pf2 = (TWO_PI ** 2) * (np.abs(chi_u) ** 2 + np.abs(chi_t) ** 2)
     dens = np.abs(a_s) ** 2 + a_t_s ** 2 + a_t_t ** 2 + pf2
     ring_density = np.mean(dens, axis=1) * np.exp(delta * s)
@@ -444,7 +439,7 @@ class ConjugacyReport:
     eigenmode_direction_residual: float
 
     def max_residual(self) -> float:
-        return max(astuple(self))
+        return float(np.max(astuple(self)))
 
 
 def puncture_parameters(v: TunnelMapSample, n_dirs: int = 16) -> np.ndarray:
@@ -488,7 +483,7 @@ def check_conjugate(pair: ConjugatePair) -> ConjugacyReport:
     """
     vp, vm = pair.v_plus, pair.v_minus
     # every residual compares the two samples point by point
-    if vp.m != vm.m or not np.array_equal(vp.ring_u, vm.ring_u):
+    if vp.m != vm.m or not np.array_equal(vp.ladder.u, vm.ladder.u):
         raise DomainError("conjugate pair samples lie on different grids")
 
     (dp, hp), (dm, hm) = both(
@@ -500,9 +495,9 @@ def check_conjugate(pair: ConjugatePair) -> ConjugacyReport:
     for i0 in range(0, vp.n_rings, step):
         i1 = min(i0 + step, vp.n_rings)
         du = np.empty((i1 - i0, vp.m))
-        _d_u_rows(du, dp.weights, d_t, i0, i1)
+        vp.ladder.d_u_rows(du, d_t, i0, i1)
         du -= _d_theta(dp.alpha_u[i0:i1] - dm.alpha_u[i0:i1])
-        omega_res = max(omega_res, float(np.max(np.abs(du))))
+        omega_res = float(np.maximum(omega_res, np.max(np.abs(du))))
 
     lam_sigma = -(dp.alpha_u[0] + dm.alpha_u[0])
     lambda_res = float(np.max(np.abs(lam_sigma)))
@@ -536,11 +531,13 @@ def conjugate_partner(v_plus: TunnelMapSample,
     through the characteristic group law.  The partner is the pointwise
     flow action of the transition on the input.
     """
+    # negated tests, so NaN inputs fail them too
     res = residual_H(v_plus)
-    if max(res.f_residual, res.l_residual) > PARTNER_RESIDUAL_TOL:
+    if not (res.f_residual <= PARTNER_RESIDUAL_TOL
+            and res.l_residual <= PARTNER_RESIDUAL_TOL):
         raise VerificationError(
             f"input is not a tunneling map: residuals {res!r}")
-    if check_periods(v_plus) > PARTNER_PERIOD_TOL:
+    if not check_periods(v_plus) <= PARTNER_PERIOD_TOL:
         raise VerificationError("input has nonvanishing periods")
 
     data, const = fold_data(v_plus, 2.0)
@@ -554,7 +551,7 @@ def conjugate_partner(v_plus: TunnelMapSample,
     g_tot = winding * th / TWO_PI + g_single + const
     # g_tot is (M,) untwisted or (R, M) twisted; either broadcasts over rings
     planes = np.exp(2j * np.pi * g_tot) * v_plus.planes
-    return TunnelMapSample(v_plus.rho, v_plus.ring_u, planes, x,
+    return TunnelMapSample(v_plus.rho, v_plus.ladder, planes, x,
                            -v_plus.degree)
 
 
@@ -577,7 +574,7 @@ class FlatFoldReport:
     torus_fixed_residual: float
 
     def max_residual(self) -> float:
-        return max(astuple(self))
+        return float(np.max(astuple(self)))
 
 
 def flat_fold_apply(theta0: float, circle: np.ndarray,

@@ -124,8 +124,9 @@ def test_criterion_06_conjugate_partner_oracle():
         c = RNG.uniform(0.05, 0.9) * np.exp(2j * np.pi * RNG.uniform())
         m = np.exp(2j * np.pi * RNG.uniform())
         x = CharacteristicParam(m)
-        vp = Mo._family_ladder(c, m, M_FULL, 1)
-        vm_closed = Mo._family_ladder(c, m, M_FULL, -1)
+        ladder = T.default_ladder()
+        vp = Mo._family_ladder(c, m, M_FULL, 1, ladder)
+        vm_closed = Mo._family_ladder(c, m, M_FULL, -1, ladder)
         built = T.conjugate_partner(vp, x)
         worst = max(worst, float(np.max(np.abs(built.rings - vm_closed.rings))))
     ok = worst < 1e-7

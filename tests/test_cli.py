@@ -424,11 +424,11 @@ def test_error_on_the_pooled_side_keeps_its_exit_code(tmp_path, capsys,
     threads = []
     ladder = moduli._family_ladder
 
-    def failing_minus_ladder(c, m, m_res, side):
+    def failing_minus_ladder(c, m, m_res, side, shared):
         if side < 0:
             threads.append(threading.current_thread().name)
             raise DomainError("minus side rejected")
-        return ladder(c, m, m_res, side)
+        return ladder(c, m, m_res, side, shared)
 
     monkeypatch.setattr(moduli, "_family_ladder", failing_minus_ladder)
     capsys.readouterr()

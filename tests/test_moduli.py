@@ -14,7 +14,8 @@ from foldedmaps import moduli as Mo
 from foldedmaps import sphere as S
 from foldedmaps import tunneling as T
 from foldedmaps.errors import (DomainError, InputError,
-                               NonImmersedBoundaryError, TierViolationError)
+                               NonImmersedBoundaryError, TierViolationError,
+                               VerificationError)
 
 RNG = np.random.default_rng(31415)
 M_RES, NR = 128, 48
@@ -172,6 +173,45 @@ def test_verify_recomputes_det_omega_sign_from_charts(chart):
     assert Mo.verify_folded_holomorphic(b).tau_sign_violation > 0.0
 
 
+def test_verification_report_keeps_nan():
+    # Python's max drops a NaN that follows a float; the report must not
+    nan_conj = T.ConjugacyReport(1e-12, np.nan, 0.0, 0.0, 0.0)
+    conj = T.ConjugacyReport(1e-12, 0.0, 0.0, 0.0, 0.0)
+    for holo_minus, c in ((np.nan, conj), (1e-12, nan_conj),
+                          (np.nan, nan_conj)):
+        rep = Mo.VerificationReport(1e-12, holo_minus, 0.0, 0.0, 1e-13,
+                                    1e-13, c)
+        assert np.isnan(rep.as_dict()["max_residual"])
+        assert not rep.passed()
+    rep = Mo.VerificationReport(1e-12, 2e-12, 0.0, 0.0, 1e-13, 1e-13, conj)
+    assert rep.max_residual() == 2e-12 and rep.passed()
+
+
+@pytest.mark.parametrize("chart", ["chart_plus", "chart_minus"])
+@pytest.mark.parametrize("nan_samples", ["all", "one"])
+def test_nan_chart_fails_verification(chart, nan_samples):
+    b = small_family(0.45, 1.0)
+    grid = getattr(b, chart)
+    if nan_samples == "all":
+        grid.planes = np.full_like(grid.planes, np.nan)
+    else:
+        grid.planes[:, 30, 5] = np.nan
+    assert np.isnan(grid.holomorphy_residual())
+    assert np.isnan(grid.sign_violation(1 if chart == "chart_plus" else -1))
+    rep = Mo.verify_folded_holomorphic(b)
+    assert np.isnan(rep.tau_sign_violation)
+    assert np.isnan(rep.max_residual()) and not rep.passed()
+
+
+def test_nan_multiplier_fails_the_lower_ball_test():
+    curve, rho, f_log = _varying_multiplier(M_RES)
+    coeffs = f_log.coeffs.copy()
+    coeffs[0] = np.nan
+    nan_log = H.LaurentField(f_log.kind, coeffs, f_log.puncture_pole_order)
+    with pytest.raises(VerificationError, match="lower domain"):
+        Mo._curve_planes(curve, nan_log, rho, M_RES, NR, -1)
+
+
 def test_gauge_rotation_invariance():
     # precomposing with a rigid rotation preserves residuals and energies
     c, m, beta = 0.5, np.exp(0.4j), 0.77
@@ -278,9 +318,9 @@ def test_samples_are_normalized_planes():
     c, m, m_res = 0.45 + 0.3j, np.exp(0.7j), 64
     theta = 2 * np.arccos(np.longdouble(-1)) * np.arange(m_res) / m_res
     for side in (1, -1):
-        v = Mo._family_ladder(c, m, m_res, side)
+        v = Mo._family_ladder(c, m, m_res, side, T.default_ladder())
         assert np.shares_memory(v.planes, v.rings)
-        z = (np.longdouble(v.rho) * np.exp(v.ring_u.astype(np.longdouble))
+        z = (np.longdouble(v.rho) * np.exp(v.ladder.u.astype(np.longdouble))
              )[:, None] * np.exp(1j * theta)[None, :]
         mm, cc = np.clongdouble(m), np.clongdouble(c)
         w = (np.stack([mm * z, np.full_like(z, mm * cc)])
@@ -289,14 +329,14 @@ def test_samples_are_normalized_planes():
         assert float(np.max(np.abs(v.planes - expected))) <= tol
         norms = np.linalg.norm(v.planes, axis=0)
         assert float(np.max(np.abs(norms - 1.0))) <= 4 * eps
-    u = T.default_ring_u()
-    z = 0.8 * np.exp(u)[:, None] * np.exp(1j * sp.angles(64))[None, :]
+    ladder = T.default_ladder()
+    z = 0.8 * np.exp(ladder.u)[:, None] * np.exp(1j * sp.angles(64))[None, :]
     curve = Mo.CurveInput(np.array([0.1, 0.0, 0.9 * m]), np.array([m * c]), m)
     vals = Mo._unit(curve.eval(z))
     w = curve.eval(z)
     expected = w / np.linalg.norm(w, axis=0)
     assert vals.tobytes() == expected.tobytes()
-    v = T.TunnelMapSample(0.8, u, vals, S.CharacteristicParam(m), 1)
+    v = T.TunnelMapSample(0.8, ladder, vals, S.CharacteristicParam(m), 1)
     assert np.shares_memory(v.planes, vals)
 
 

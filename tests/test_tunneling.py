@@ -7,7 +7,7 @@ import pytest
 from foldedmaps import _spectral as sp
 from foldedmaps import tunneling as T
 from foldedmaps.errors import (DomainError, GapSignError,
-                               NonTransverseCrossingError)
+                               NonTransverseCrossingError, VerificationError)
 from foldedmaps.harmonic import (BoundaryLoopSamples, ExteriorPunctured,
                                  solve_neumann_vanishing)
 from foldedmaps.sphere import CharacteristicParam
@@ -43,7 +43,7 @@ def family_samples(c, m, M=M):
 
 def d_u_direct(values, u, width=9):
     """Per-ring Fornberg weights, evaluated afresh for every ring and
-    summed left to right over the window, as `_d_u` documents."""
+    summed left to right over the window, as `Ladder.d_u` documents."""
     r = len(u)
     width = min(width, r)
     out = np.empty_like(values)
@@ -62,15 +62,15 @@ def ladder_values(n_rings, m=16):
     return RNG.normal(size=shape) + 1j * RNG.normal(size=shape)
 
 
-@pytest.mark.parametrize("u", [T.default_ring_u(),
+@pytest.mark.parametrize("u", [T.default_ladder().u,
                                np.cumsum(np.linspace(0.01, 0.08, 60))],
                          ids=["default", "nonuniform"])
 def test_d_u_cached_stencil_matches_direct(u):
     vals = ladder_values(len(u))
-    assert T._d_u(vals, u).tobytes() == d_u_direct(vals, u).tobytes()
+    assert T.Ladder(u).d_u(vals).tobytes() == d_u_direct(vals, u).tobytes()
 
 
-@pytest.mark.parametrize("u", [T.default_ring_u(),
+@pytest.mark.parametrize("u", [T.default_ladder().u,
                                np.cumsum(np.linspace(0.01, 0.08, 60))],
                          ids=["default", "nonuniform"])
 def test_fd_weights_batch_rows_match_1d_calls(u):
@@ -80,7 +80,7 @@ def test_fd_weights_batch_rows_match_1d_calls(u):
     rows = np.stack([sp.fd_weights(w, float(x), 1)
                      for w, x in zip(windows, u)])
     assert batch.tobytes() == rows.tobytes()
-    assert T._ladder_weights(u).tobytes() == rows.tobytes()
+    assert T.Ladder(u).weights.tobytes() == rows.tobytes()
 
 
 def test_fd_weights_central_difference():
@@ -92,53 +92,61 @@ def test_fd_weights_central_difference():
 def test_d_u_ring_blocks_match_direct(m):
     # (R, M) complex ladders: one block of 256 rings at M = 64 (longer than
     # the ladder), 64 rings at M = 256 and 8 rings at M = 2048
-    u = T.default_ring_u()
+    ladder = T.default_ladder()
+    u = ladder.u
     vals = ladder_values(len(u), m)[..., 0]
     assert T._block_rings(vals[0].nbytes) == max(8, 16384 // m)
-    assert T._d_u(vals, u).tobytes() == d_u_direct(vals, u).tobytes()
+    assert ladder.d_u(vals).tobytes() == d_u_direct(vals, u).tobytes()
     real = np.ascontiguousarray(vals.real)
-    assert T._d_u(real, u).tobytes() == d_u_direct(real, u).tobytes()
+    assert ladder.d_u(real).tobytes() == d_u_direct(real, u).tobytes()
 
 
 @pytest.mark.parametrize("n_rings", range(3, 13))
 def test_d_u_short_ladders_match_direct(n_rings):
     u = np.cumsum(np.linspace(0.02, 0.05, n_rings))
     vals = ladder_values(n_rings)
-    assert T._d_u(vals, u).tobytes() == d_u_direct(vals, u).tobytes()
+    assert T.Ladder(u).d_u(vals).tobytes() == d_u_direct(vals, u).tobytes()
 
 
-@pytest.mark.parametrize("u", [T.default_ring_u(),
+@pytest.mark.parametrize("u", [T.default_ladder().u,
                                np.cumsum(np.linspace(0.01, 0.08, 60))],
                          ids=["default", "nonuniform"])
 def test_d_u_real_is_real_part_of_complex(u):
+    ladder = T.Ladder(u)
     vals = ladder_values(len(u))[..., 0]
-    real = T._d_u(np.ascontiguousarray(vals.real), u)
+    real = ladder.d_u(np.ascontiguousarray(vals.real))
     assert real.dtype == float
-    assert real.tobytes() == np.ascontiguousarray(T._d_u(vals, u).real).tobytes()
+    assert real.tobytes() == \
+        np.ascontiguousarray(ladder.d_u(vals).real).tobytes()
 
 
-@pytest.mark.parametrize("u", [T.default_ring_u(),
+@pytest.mark.parametrize("u", [T.default_ladder().u,
                                np.cumsum(np.linspace(0.01, 0.08, 60))],
                          ids=["default", "nonuniform"])
 def test_d_u_signed_zero_columns_match_direct(u):
+    ladder = T.Ladder(u)
     vals = ladder_values(len(u))[..., 0]
     vals[:, 3] = 0.0
     vals.real[:, 5] = -0.0
     vals.imag[:, 5] = -0.0
     vals.real[:, 8] = -0.0
-    assert T._d_u(vals, u).tobytes() == d_u_direct(vals, u).tobytes()
+    assert ladder.d_u(vals).tobytes() == d_u_direct(vals, u).tobytes()
     real = np.ascontiguousarray(vals.real)
-    assert T._d_u(real, u).tobytes() == d_u_direct(real, u).tobytes()
+    assert ladder.d_u(real).tobytes() == d_u_direct(real, u).tobytes()
 
 
 def omega_density(v):
     """Pullback of omega_Z = d(alpha) in the (u, theta) coordinates of
     one sample: the oracle of the difference route of check_conjugate."""
     d = T.derived_fields(v)
-    return T._d_u(d.alpha_t, v.ring_u, d.weights) - T._d_theta(d.alpha_u)
+    return v.ladder.d_u(d.alpha_t) - T._d_theta(d.alpha_u)
 
 
-def test_ladder_weights_built_once_per_sample(monkeypatch):
+def test_one_ladder_and_one_weight_build_per_construction(monkeypatch):
+    # v_+, v_- and the conjugate partner share the construction's ladder,
+    # so an op builds its d/du weights once, whatever reads them later
+    from foldedmaps import boundary_operator as B
+    from foldedmaps import moduli as Mo
     calls = []
     fd_weights = sp.fd_weights
 
@@ -147,14 +155,21 @@ def test_ladder_weights_built_once_per_sample(monkeypatch):
         return fd_weights(*args)
 
     monkeypatch.setattr(sp, "fd_weights", counting)
-    vp, vm, _ = family_samples(0.4 + 0.1j, np.exp(0.2j))
-    for v in (vp, vm):
-        T.derived_fields(v)
-        omega_density(v)
-        T.residual_H(v)
-        T.asymptotic_energy(v, 0.1)
-    T.check_conjugate(T.make_conjugate_pair(vp, vm))
-    assert len(calls) == 2
+    bundle = Mo.degree1_family(Mo.ModuliParam(0.4 + 0.1j, np.exp(0.2j)), 64,
+                               24)
+    report = Mo.verify_folded_holomorphic(bundle)
+    data = B.boperator_data_from_bundle(bundle)
+    loops = B.boundary_condition_loops(bundle)
+    Mo.bundle_report(bundle, report, data, loops)
+    B.ellipticity_certificate(data, loops)
+    assert bundle.pair.v_plus.ladder is bundle.pair.v_minus.ladder
+    assert len(calls) == 1
+    calls.clear()
+    pair = _degree3_pair()
+    partner = T.conjugate_partner(pair.v_plus, pair.v_plus.x)
+    T.asymptotic_energy(partner, 0.1)
+    assert pair.v_plus.ladder is pair.v_minus.ladder is partner.ladder
+    assert len(calls) == 1
 
 
 def test_d_theta_matches_per_ring():
@@ -190,25 +205,27 @@ def test_real_theta_derivative_matches_complex_route(m):
 
 
 def test_d_u_stencil_is_per_ladder():
-    u1 = T.default_ring_u()
+    u1 = T.default_ladder().u
     u2 = 1.5 * u1
     vals = ladder_values(len(u1))
-    d1 = T._d_u(vals, u1)
-    d2 = T._d_u(vals, u2)
+    d1 = T.Ladder(u1).d_u(vals)
+    d2 = T.Ladder(u2).d_u(vals)
     assert d2.tobytes() == d_u_direct(vals, u2).tobytes()
     assert not np.allclose(d1, d2)
 
 
 def test_d_u_stencil_cache_under_threads():
-    ladders = [np.cumsum(np.full(40, 0.01 * (k + 1))) for k in range(6)]
+    # six threads share six ladders, each read by several threads at once
+    ladders = [T.Ladder(np.cumsum(np.full(40, 0.01 * (k + 1))))
+               for k in range(6)]
     vals = ladder_values(40)
-    expected = [d_u_direct(vals, u) for u in ladders]
+    expected = [d_u_direct(vals, ladder.u) for ladder in ladders]
     failures = []
 
     def worker(k):
         for j in range(20):
             n = (k + j) % len(ladders)
-            if T._d_u(vals, ladders[n]).tobytes() != expected[n].tobytes():
+            if ladders[n].d_u(vals).tobytes() != expected[n].tobytes():
                 failures.append((k, n))
 
     interval = sys.getswitchinterval()
@@ -229,8 +246,8 @@ def derived_reference(v):
     """The derived fields by whole-ladder formulas, every product kept."""
     a, b = v.planes
     dth_a, dth_b = T._d_theta(v.planes)
-    du_a = d_u_direct(a, v.ring_u)
-    du_b = d_u_direct(b, v.ring_u)
+    du_a = d_u_direct(a, v.ladder.u)
+    du_b = d_u_direct(b, v.ladder.u)
     ca, cb = np.conj(a), np.conj(b)
     alpha_t = np.imag(0.0 + ca * dth_a + cb * dth_b) / T.TWO_PI
     alpha_u = np.imag(0.0 + ca * du_a + cb * du_b) / T.TWO_PI
@@ -247,7 +264,7 @@ def test_derived_fields_match_whole_ladder_formulas(m, n_rings):
     # are fewer than one block of 8; 70 rings at M = 256 end in a block of 6
     vp, _, _ = family_samples(0.45 + 0.3j, np.exp(0.7j), M=m)
     if n_rings < vp.n_rings:
-        vp = T.TunnelMapSample(vp.rho, vp.ring_u[:n_rings],
+        vp = T.TunnelMapSample(vp.rho, T.Ladder(vp.ladder.u[:n_rings]),
                                vp.planes[:, :n_rings], vp.x, vp.degree)
     alpha_t, alpha_u, chi_t, _ = derived_reference(vp)
     d = T.derived_fields(vp)
@@ -261,10 +278,10 @@ def test_asymptotic_energy_matches_whole_ladder_chi():
     vp, _, _ = family_samples(0.5, np.exp(0.3j))
     delta = 0.1
     alpha_t, alpha_u, chi_t, chi_u = derived_reference(vp)
-    s = vp.ring_u / T.TWO_PI
+    s = vp.ladder.u / T.TWO_PI
     a_t = T.TWO_PI * alpha_t
     dens = (np.abs(T.TWO_PI * alpha_u) ** 2
-            + (T.TWO_PI * T._d_u(a_t, vp.ring_u)) ** 2
+            + (T.TWO_PI * vp.ladder.d_u(a_t)) ** 2
             + (T.TWO_PI * T._d_theta(a_t)) ** 2
             + (T.TWO_PI ** 2) * (np.abs(chi_u) ** 2 + np.abs(chi_t) ** 2))
     ring_density = np.mean(dens, axis=1) * np.exp(delta * s)
@@ -294,7 +311,7 @@ def test_residual_constant_map():
         return out
 
     v = T.sample_tunnel_map(const, 1.0, 64, CharacteristicParam(1.0), 0,
-                            ring_u=np.linspace(0, 1, 32))
+                            ladder=T.Ladder(np.linspace(0, 1, 32)))
     res = T.residual_H(v)
     assert res.f_residual < 1e-12
     assert res.l_residual < 1e-12
@@ -315,10 +332,30 @@ def test_residual_detects_warp():
 
 
 def test_residual_needs_rings():
+    # a sample too short for d/du estimates cannot be built: its ladder
+    # is rejected first
     vp, _, x = family_samples(0.3, 1.0)
-    short = T.TunnelMapSample(vp.rho, vp.ring_u[:2], vp.planes[:, :2], x, 1)
-    with pytest.raises(DomainError):
-        T.residual_H(short)
+    with pytest.raises(DomainError, match="at least 3"):
+        T.TunnelMapSample(vp.rho, T.Ladder(vp.ladder.u[:2]),
+                          vp.planes[:, :2], x, 1)
+
+
+@pytest.mark.parametrize("u", [
+    [0.0, np.nan, 0.08, 0.12], [0.0, 0.04, np.inf], [-np.inf, 0.0, 0.04],
+    [0.0, 0.04, 0.04, 0.12], [0.0, 0.08, 0.04, 0.12],
+    [[0.0, 0.04, 0.08], [0.12, 0.16, 0.2]], [0.0, 0.04], [0.0], []],
+    ids=["nan", "inf", "minus-inf", "repeated", "decreasing", "2d",
+         "2-rings", "1-ring", "empty"])
+def test_ladder_rejects_bad_rings(u):
+    with pytest.raises(DomainError, match="ring ladder"):
+        T.Ladder(np.array(u))
+
+
+def test_ladder_mismatch_with_planes_is_rejected():
+    vp, _, x = family_samples(0.3, 1.0, M=64)
+    with pytest.raises(DomainError, match="ring ladder shape mismatch"):
+        T.TunnelMapSample(vp.rho, T.Ladder(vp.ladder.u[:50]), vp.planes, x,
+                          1)
 
 
 def test_sample_planes_are_the_stored_form():
@@ -332,16 +369,16 @@ def test_sample_planes_are_the_stored_form():
     with pytest.raises(ValueError):
         vp.rings[0, 0, 1] = 0.0
     # a sample built from another's planes keeps the same memory
-    again = T.TunnelMapSample(vp.rho, vp.ring_u, vp.planes, x, 1)
+    again = T.TunnelMapSample(vp.rho, vp.ladder, vp.planes, x, 1)
     assert np.shares_memory(again.planes, vp.planes)
 
 
 def test_sample_rejects_the_component_last_layout():
     vp, _, x = family_samples(0.3 + 0.1j, 1.0, M=64)
     with pytest.raises(DomainError, match=r"shape \(2, R, M\)"):
-        T.TunnelMapSample(vp.rho, vp.ring_u, vp.rings, x, 1)
+        T.TunnelMapSample(vp.rho, vp.ladder, vp.rings, x, 1)
     with pytest.raises(DomainError, match=r"shape \(2, R, M\)"):
-        T.TunnelMapSample(vp.rho, vp.ring_u, vp.planes[0], x, 1)
+        T.TunnelMapSample(vp.rho, vp.ladder, vp.planes[0], x, 1)
 
 
 @pytest.mark.parametrize("ring", [0, 100, -1])
@@ -352,25 +389,28 @@ def test_sample_rejects_a_ring_off_the_sphere(ring):
     planes = vp.planes.copy()
     planes[:, ring, 1000] *= 1.0 + 1e-8
     with pytest.raises(DomainError, match="must lie on S"):
-        T.TunnelMapSample(vp.rho, vp.ring_u, planes, x, 1)
+        T.TunnelMapSample(vp.rho, vp.ladder, planes, x, 1)
 
 
 def test_sample_rejects_nan_samples():
     vp, _, x = family_samples(0.3 + 0.1j, 1.0, M=64)
     with pytest.raises(DomainError, match="must lie on S"):
-        T.TunnelMapSample(vp.rho, vp.ring_u, np.full_like(vp.planes, np.nan),
+        T.TunnelMapSample(vp.rho, vp.ladder, np.full_like(vp.planes, np.nan),
                           x, 1)
 
 
 def test_sample_ladders_are_read_only_and_derived_fields_cached():
     vplus, _ = family_maps(0.3, 1.0)
-    u = T.default_ring_u()
+    u = np.linspace(0.0, 8.0, 201)
     planes = vplus(np.exp(u)[:, None] * np.exp(1j * sp.angles(64))[None, :])
-    v = T.TunnelMapSample(1.0, u, planes, CharacteristicParam(1.0), 1)
+    v = T.TunnelMapSample(1.0, T.Ladder(u), planes, CharacteristicParam(1.0),
+                          1)
     with pytest.raises(ValueError):
         v.planes[0, 0, 0] = 0.0
     with pytest.raises(ValueError):
-        v.ring_u[1] = 0.5
+        v.ladder.u[1] = 0.5
+    with pytest.raises(ValueError):
+        v.ladder.weights[1, 0] = 0.5
     assert planes.flags.writeable and u.flags.writeable
     assert T.derived_fields(v) is T.derived_fields(v)
 
@@ -395,7 +435,7 @@ def test_periods_detect_dtheta():
         return out
 
     v = T.sample_tunnel_map(bad, 1.0, 64, CharacteristicParam(1.0), 0,
-                            ring_u=np.linspace(0, 0.5, 24))
+                            ladder=T.Ladder(np.linspace(0, 0.5, 24)))
     periods = T.ring_periods(v)
     assert np.max(np.abs(periods)) > 6.0  # detects the 2 pi circulation
 
@@ -417,7 +457,7 @@ def test_energy_constant_map_zero():
         return out
 
     v = T.sample_tunnel_map(const, 1.0, 64, CharacteristicParam(1.0), 0,
-                            ring_u=np.linspace(0, 2, 48))
+                            ladder=T.Ladder(np.linspace(0, 2, 48)))
     prof = T.asymptotic_energy(v, 0.1)
     assert prof.total < 1e-20
     assert not prof.divergent
@@ -465,7 +505,7 @@ def test_energy_divergence_flag():
         return out
 
     v = T.sample_tunnel_map(spiral, 1.0, 64, CharacteristicParam(1.0), 0,
-                            ring_u=np.linspace(0, 3, 64))
+                            ladder=T.Ladder(np.linspace(0, 3, 64)))
     prof = T.asymptotic_energy(v, 0.5)
     assert prof.divergent
 
@@ -542,7 +582,7 @@ def _ring_tampered_pair():
     planes = vm.planes.copy()
     planes[:, 4] *= np.exp(0.01j * np.sin(sp.angles(vm.m)))
     return T.make_conjugate_pair(
-        vp, T.TunnelMapSample(vm.rho, vm.ring_u, planes, vm.x, vm.degree))
+        vp, T.TunnelMapSample(vm.rho, vm.ladder, planes, vm.x, vm.degree))
 
 
 @pytest.mark.parametrize("make", [
@@ -563,8 +603,8 @@ def test_omega_residual_matches_per_side_oracle(make):
 
 def test_check_conjugate_rejects_samples_on_different_ladders():
     vp, vm, _ = family_samples(0.4 + 0.1j, np.exp(0.2j))
-    u = vm.ring_u * 1.01
-    other = T.TunnelMapSample(vm.rho, u, vm.planes, vm.x, vm.degree)
+    u = vm.ladder.u * 1.01
+    other = T.TunnelMapSample(vm.rho, T.Ladder(u), vm.planes, vm.x, vm.degree)
     with pytest.raises(DomainError, match="different grids"):
         T.check_conjugate(T.make_conjugate_pair(vp, other))
 
@@ -578,7 +618,7 @@ def test_conjugate_base_projections_agree():
 def test_check_conjugate_detects_flow_shift():
     vp, vm, x = family_samples(0.5, 1.0)
     shifted = T.TunnelMapSample(
-        vm.rho, vm.ring_u,
+        vm.rho, vm.ladder,
         np.exp(2j * np.pi * 0.3) * vm.planes, x, vm.degree)
     rep = T.check_conjugate(T.make_conjugate_pair(vp, shifted))
     assert abs(rep.marker_defect - abs(np.exp(2j * np.pi * 0.3) - 1)) < 1e-6
@@ -590,6 +630,32 @@ def test_check_conjugate_rejects_naive_double():
     vp, _, x = family_samples(0.5, 1.0)
     rep = T.check_conjugate(T.make_conjugate_pair(vp, vp))
     assert rep.marker_defect > 0.1
+
+
+@pytest.mark.parametrize("where", [0, 1, 4])
+def test_report_maxima_keep_nan(where):
+    # Python's max drops a NaN that follows a float; the reports must not
+    values = [1e-12, 0.0, 3e-13, 0.0, 0.0]
+    values[where] = np.nan
+    assert np.isnan(T.ConjugacyReport(*values).max_residual())
+    assert np.isnan(T.FlatFoldReport(*values[:3]).max_residual()) == \
+        (where < 3)
+    assert T.ConjugacyReport(1e-12, 0.0, 3e-13, 0.0, 0.0).max_residual() \
+        == 1e-12
+
+
+@pytest.mark.parametrize("bad", ["f", "l", "period"])
+def test_conjugate_partner_rejects_nan_inputs(bad, monkeypatch):
+    vp, _, x = family_samples(0.5, 1.0, M=64)
+    res = T.residual_H(vp)
+    if bad == "period":
+        monkeypatch.setattr(T, "check_periods", lambda v: np.nan)
+    else:
+        nan_res = T.HResidual(np.nan if bad == "f" else res.f_residual,
+                              np.nan if bad == "l" else res.l_residual)
+        monkeypatch.setattr(T, "residual_H", lambda v: nan_res)
+    with pytest.raises(VerificationError):
+        T.conjugate_partner(vp, x)
 
 
 def test_conjugate_partner_matches_closed_form():
