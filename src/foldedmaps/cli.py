@@ -28,6 +28,9 @@ EXIT_TIER = 3
 # |m| = 1 check on the user's m, looser than moduli.UNIT_MODULUS_TOL
 # because the CLI normalizes m to unit modulus right after it
 M_MODULUS_TOL = 1e-9
+# radial nodes of each compactify chart; grid.radial_nodes is the degree1
+# and degree-d setting
+COMPACTIFY_RADIAL_NODES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +145,7 @@ def cmd_compactify(args) -> int:
         raise InputError("need at least 2 steps")
     rows = moduli.compactification_sample(
         np.linspace(0.0, 0.99, args.steps), m / abs(m),
-        _validate_resolution(args.resolution), 64)
+        _validate_resolution(args.resolution), COMPACTIFY_RADIAL_NODES)
     lines = ["c_abs,E_uplus,E_uminus,E_total,limit_label"]
     for r in rows:
         lines.append('%.17g,%.17g,%.17g,%.17g,"%s"' % (

@@ -14,12 +14,8 @@ from dataclasses import dataclass, field, fields, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    # generic absolute comparison tolerance
-    abs_tol: float = 1e-9
     # membership of points on spheres
     point_tol: float = 1e-12
-    # tangency / orthogonality checks
-    tangent_tol: float = 1e-10
     # resolution invariant: energy fraction allowed above 0.9 * M/2
     nyquist_fraction: float = 1e-10
     # mean of Neumann data must vanish to this level
@@ -28,16 +24,10 @@ class Tolerances:
     transverse_floor: float = 1e-10
     # immersed boundary: min |pi_F dv| allowed
     immersion_floor: float = 1e-6
-    # eigenvalue gap floor in the skew splitting
-    eigen_gap: float = 1e-12
-    # matrix square root conditioning guard
-    sqrt_condition: float = 1e12
     # ellipticity PASS threshold on the minimum singular value
     ellipticity_floor: float = 1e-8
     # circularity certificate for Tier-1 folds
     fold_circularity: float = 1e-8
-    # admissible exponential weights lie in (0, delta_max]
-    delta_max: float = 12.0
 
 
 @dataclass(frozen=True)

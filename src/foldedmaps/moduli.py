@@ -42,6 +42,8 @@ RESIDUAL_PASS_TOL = 1e-7
 # counts as leaving the lower ball: |f w| = 1 on the fold circle holds
 # only to its certified circularity (Tolerances.fold_circularity, 1e-8)
 LOWER_BALL_TOL = 1e-8
+# the fold radii find_circular_fold accepts; a fold outside violates Tier 1
+FOLD_RADIUS_RANGE = (1e-6, 1e6)
 
 
 def det_omega_closed_form(x0: np.ndarray) -> np.ndarray:
@@ -392,8 +394,8 @@ class CompactificationRow:
     limit_label: str
 
 
-def compactification_sample(c_values: np.ndarray, m: complex,
-                            m_res: int = 256, nr: int = 96) -> list[CompactificationRow]:
+def compactification_sample(c_values: np.ndarray, m: complex, m_res: int,
+                            nr: int) -> list[CompactificationRow]:
     """Energy table along a radial path of parameters approaching the fold.
 
     The upper-hemisphere energy drains into the fold while the total stays
@@ -404,7 +406,6 @@ def compactification_sample(c_values: np.ndarray, m: complex,
     mags = np.abs(c_values)
     phases = np.where(mags > 1e-12, c_values / np.where(mags > 0, mags, 1), 1.0)
     ray_phase = phases[np.argmax(mags)]
-    nr = nr or CONFIG.grid.radial_nodes
     rows = []
     for c in c_values:
         param = ModuliParam(complex(c), m)
@@ -488,33 +489,29 @@ class CurveInput:
 def find_circular_fold(curve: CurveInput) -> float:
     """Radius of the circular fold |w| = 1, certified to tolerance.
 
-    Bisection on the mean of |w| over circles of 512 samples; the Tier-1
-    contract then requires |w| to equal one on the whole circle.
+    By Parseval the circle mean of |w|^2 at radius sqrt(s) is the convex,
+    increasing P(s) = sum_k a_k s^k, a_k = |p_k|^2 + |q_k|^2.  Newton's
+    method falls monotonically to P = 1 from the least a_k^{-1/k}, k >= 1,
+    where P is in [1, d + 1] (a_d^{-1/d} for w = (p_d z^d, q_0)).  The
+    Tier-1 contract then requires |w| = 1 on 512 samples of the circle.
     """
-    th = sp.angles(512)
-
-    def mean_mod(rho):
-        return float(np.mean(np.linalg.norm(
-            curve.eval(rho * np.exp(1j * th)), axis=0))) - 1.0
-
-    lo, hi = 1e-6, 1.0
-    while mean_mod(hi) < 0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise TierViolationError("no fold circle: |w| never reaches 1")
-    if mean_mod(lo) > 0:
+    a = np.zeros(curve.degree + 1)
+    a[:len(curve.p_coeffs)] += np.abs(curve.p_coeffs) ** 2
+    a[:len(curve.q_coeffs)] += np.abs(curve.q_coeffs) ** 2
+    poly = np.polynomial.polynomial
+    lo, hi = FOLD_RADIUS_RANGE
+    if poly.polyval(hi * hi, a) < 1.0:
+        raise TierViolationError("no fold circle: |w| never reaches 1")
+    if a[0] >= 1.0 or poly.polyval(lo * lo, a) > 1.0:
         raise TierViolationError("no fold circle: |w| exceeds 1 everywhere")
-    # mean_mod(lo) < 0 <= mean_mod(hi) throughout, so once the midpoint
-    # rounds onto lo or hi neither end can move again
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if mean_mod(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    rho = 0.5 * (lo + hi)
+    k = np.flatnonzero(a[1:]) + 1      # not empty, as P(hi^2) >= 1 > a_0
+    with np.errstate(over="ignore"):   # a tiny a_k's inf start is cut to hi^2
+        s, last = min(np.min(a[k] ** (-1.0 / k)), hi * hi), np.inf
+    da = poly.polyder(a)
+    while s < last:                    # until a step no longer decreases s
+        last, s = s, s - (poly.polyval(s, a) - 1.0) / poly.polyval(s, da)
+    rho = float(np.sqrt(last))
+    th = sp.angles(512)
     defect = float(np.max(np.abs(np.linalg.norm(
         curve.eval(rho * np.exp(1j * th)), axis=0) - 1.0)))
     if defect > CONFIG.tol.fold_circularity:

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .config import CONFIG
 from .errors import DegenerateSplittingError, DomainError
 from .sphere import FoldPoint, Point4Sphere, contact_direction, omega_s4
+
+SQRT_CONDITION_MAX = 1e12  # largest condition number square-rooted
+EIGEN_GAP_FLOOR = 1e-12    # least eigenvalue gap that splits the planes
 
 
 @dataclass
@@ -51,7 +53,7 @@ def _g_sqrt(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(g)
     if np.min(vals) <= 0:
         raise DomainError("metric matrix is not positive definite")
-    if np.max(vals) / np.min(vals) > CONFIG.tol.sqrt_condition:
+    if np.max(vals) / np.min(vals) > SQRT_CONDITION_MAX:
         raise DomainError("metric matrix condition number exceeds guard")
     return (vecs * np.sqrt(vals)) @ vecs.T, (vecs / np.sqrt(vals)) @ vecs.T
 
@@ -94,7 +96,7 @@ def skew_endomorphism(g_mat: np.ndarray, omega_mat: np.ndarray,
     pairs.sort(key=lambda p: p[0])
 
     if require_gap and len(pairs) >= 2 and \
-            abs(pairs[0][0] - pairs[1][0]) < CONFIG.tol.eigen_gap:
+            abs(pairs[0][0] - pairs[1][0]) < EIGEN_GAP_FLOOR:
         raise DegenerateSplittingError(
             f"eigenvalue gap {abs(pairs[0][0] - pairs[1][0]):.3e} below floor")
 
@@ -114,7 +116,7 @@ def polarize(dec: SkewDecomposition) -> FoldedTripleEval:
     b = gh @ dec.A @ gih
     b = 0.5 * (b - b.T)
     s = np.linalg.svd(b, compute_uv=False)
-    if s[-1] <= 0 or s[0] / s[-1] > CONFIG.tol.sqrt_condition:
+    if s[-1] <= 0 or s[0] / s[-1] > SQRT_CONDITION_MAX:
         raise DomainError("skew endomorphism is singular on a block")
     u, _ = scipy.linalg.polar(b)
     j = gih @ u @ gh

@@ -28,6 +28,8 @@ from .config import CONFIG
 from .errors import DomainError
 
 TWO_PI = 2.0 * np.pi
+TANGENT_TOL = 1e-10    # TangentAtFold: largest |<p, v>| / max(1, |v|)
+HEMISPHERE_TOL = 1e-9  # chart_of_hemisphere: how far past the equator
 
 # bytes of rows per ring block: 8 complex rings at M = 2048, so one
 # block's input and output rows stay in L2, and more rings at smaller M,
@@ -152,7 +154,7 @@ class TangentAtFold:
         object.__setattr__(self, "vec", v)
         if self.validate:
             ip = float(np.real(np.vdot(self.base.as_c2(), v)))
-            if abs(ip) > CONFIG.tol.tangent_tol * max(1.0, np.linalg.norm(v)):
+            if abs(ip) > TANGENT_TOL * max(1.0, np.linalg.norm(v)):
                 raise DomainError(
                     f"vector not tangent to S^3: <p, v> = {ip!r}")
 
@@ -267,7 +269,7 @@ def embed_hemisphere(side: int, y: np.ndarray) -> Point4Sphere:
 
 def chart_of_hemisphere(p: Point4Sphere, side: int) -> np.ndarray:
     """Inverse of embed_hemisphere: y = x / (1 + side * x0)."""
-    if side * p.x0 < -CONFIG.tol.abs_tol:
+    if side * p.x0 < -HEMISPHERE_TOL:
         raise DomainError("point not on the requested closed hemisphere")
     return p.equator_part() / (1.0 + side * p.x0)
 

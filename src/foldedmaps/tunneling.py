@@ -35,6 +35,7 @@ OMEGA_AITKEN_TINY = 1e-15     # round-off of O(1) ring circulations
 PUNCTURE_AITKEN_TINY = 1e-14  # round-off of the unit puncture phases
 HOPF_MODE_FLOOR = 1e-14       # leading Hopf mode too small to have a phase
 HOPF_MODE_MISMATCH_FLOOR = 1e-12  # a larger unmatched mode is a mismatch
+DELTA_MAX = 12.0              # asymptotic_energy weights lie in (0, DELTA_MAX]
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +142,10 @@ class TunnelMapSample:
                                          repr=False, compare=False)
 
     def __post_init__(self):
+        # negated, so a NaN radius fails too
+        if not 0.0 < self.rho < np.inf:
+            raise DomainError(
+                f"fold radius rho must be positive and finite, got {self.rho}")
         # a view, so the caller's array stays writable
         self.planes = np.ascontiguousarray(self.planes, dtype=complex).view()
         if self.planes.ndim != 3 or self.planes.shape[0] != 2:
@@ -327,9 +332,9 @@ def asymptotic_energy(v: TunnelMapSample, delta: float) -> EnergyProfile:
     Returns the tail integrals from every ring outward together with a
     fitted decay exponent of the integrand.
     """
-    if not 0 < delta <= CONFIG.tol.delta_max:
+    if not 0 < delta <= DELTA_MAX:
         raise DomainError(
-            f"weight delta must lie in (0, {CONFIG.tol.delta_max}]")
+            f"weight delta must lie in (0, {DELTA_MAX}]")
     d = derived_fields(v)
     s = v.ladder.u / TWO_PI
     a_s = TWO_PI * d.alpha_u

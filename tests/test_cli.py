@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from foldedmaps import cli
+from foldedmaps import cli, moduli
 from foldedmaps.errors import InputError
 
 
@@ -145,10 +145,15 @@ def test_degree_d_matches_degree1(tmp_path):
 
 
 def test_degree_d_tier_violation(tmp_path):
-    curve = _curve_file(tmp_path, [5.0, 1.0], [0.1])
-    code = run(["degree-d", "--curve", curve, "--resolution", "128",
-                "--out", str(tmp_path / "x.json")])
-    assert code == cli.EXIT_TIER
+    for p, q in [([5.0, 1.0], [0.1]),       # |w(0)| > 1
+                 ([0.3, 1.0], [0.2]),       # not a circle
+                 ([0, 1e-7], [1e-8]),       # a circle of radius 1e7
+                 ([0, 1e7], [1e-8])]:       # a circle of radius 1e-7
+        curve = _curve_file(tmp_path, p, q)
+        code = run(["degree-d", "--curve", curve, "--resolution", "128",
+                    "--out", str(tmp_path / "x.json")])
+        assert code == cli.EXIT_TIER
+        assert not (tmp_path / "x.json").exists()
 
 
 def test_degree_d_z2_curve(tmp_path):
@@ -175,6 +180,24 @@ def test_compactify_table(tmp_path):
     totals = [float(r[3]) for r in rows]
     assert all(a > b for a, b in zip(e_plus, e_plus[1:]))
     assert np.std(totals) < 1e-6
+
+
+def test_compactify_keeps_its_own_radial_nodes(tmp_path, monkeypatch):
+    # grid.radial_nodes is the degree1 and degree-d setting only
+    seen = []
+    sample = moduli.compactification_sample
+    monkeypatch.setattr(moduli, "compactification_sample",
+                        lambda c, m, m_res, nr: seen.append(nr)
+                        or sample(c, m, m_res, nr))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"grid": {"radial_nodes": 8}}')
+    outs = []
+    for config in ([], ["--config", str(cfg)]):
+        outs.append(tmp_path / f"t{len(outs)}.csv")
+        assert run(config + ["compactify", "--steps", "2", "--resolution",
+                             "64", "--out", str(outs[-1])]) == cli.EXIT_PASS
+    assert seen == [cli.COMPACTIFY_RADIAL_NODES] * 2
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +365,12 @@ def test_config_rejects_unknown_grid_field(tmp_path, capsys, field):
     '{"grid": {"boundary_samples": 16384}}',
     '2.5', '"8"', '[1, 2]', 'null',
     '{"tol": {"ellipticity_floor": null}}',
+    '{"tol": {"fold_circularity": "x"}}',
+    '{"tol": {"fold_circularity": NaN}}',
+    '{"tol": {"fold_circularity": Infinity}}',
+    '{"tol": {"fold_circularity": 1' + '0' * 400 + '}}',
+    '{"tol": {"fold_circularity": false}}',
+    # delta_max and abs_tol are no longer config fields
     '{"tol": {"delta_max": "x"}}',
     '{"tol": {"delta_max": NaN}}',
     '{"tol": {"delta_max": Infinity}}',
@@ -366,11 +395,26 @@ def test_malformed_config_is_an_input_error(tmp_path, capsys, text):
 
 def test_config_accepts_checked_fields(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"tol": {"delta_max": 6, "abs_tol": 1e-9}, '
+    cfg.write_text('{"tol": {"fold_circularity": 1, "period_tol": 1e-10}, '
                    '"grid": {"radial_nodes": 32}}')
     assert run(["--config", str(cfg), "degree1", "--c", "0.3",
                 "--resolution", "64", "--out", str(tmp_path / "r.json")]) \
         == cli.EXIT_PASS
+
+
+@pytest.mark.parametrize("field", ["abs_tol", "tangent_tol", "eigen_gap",
+                                   "sqrt_condition", "delta_max"])
+def test_config_rejects_tolerances_no_command_reads(tmp_path, capsys, field):
+    # each is a module constant beside its one reader, which no command calls
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": {field: 1e-9}}))
+    for argv in (["degree1", "--c", "0.3"], ["compactify", "--steps", "2"]):
+        assert run(["--config", str(cfg)] + argv + [
+            "--resolution", "64", "--out", str(tmp_path / "r.out")]) \
+            == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            f"input error: unknown config field tol.{field}")
+        assert not (tmp_path / "r.out").exists()
 
 
 def test_config_boundary_samples_is_unknown(tmp_path, capsys):
@@ -418,7 +462,6 @@ def test_linalg_error_is_a_verification_error(tmp_path, capsys, monkeypatch):
 def test_error_on_the_pooled_side_keeps_its_exit_code(tmp_path, capsys,
                                                       monkeypatch):
     # the minus side runs on the side pool; its error still reaches main
-    from foldedmaps import moduli
     from foldedmaps.errors import DomainError
 
     threads = []

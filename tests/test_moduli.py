@@ -662,7 +662,7 @@ def test_constructions_make_no_barycentric_energy_call(monkeypatch):
 
 
 def _reference_fold_radius(curve, m_probe=512):
-    # the full 200-step bisection the early stop must reproduce exactly
+    # a 200-step bisection on the sampled mean of |w|
     th = 2 * np.pi * np.arange(m_probe) / m_probe
 
     def mean_mod(rho):
@@ -686,7 +686,54 @@ def test_find_circular_fold_matches_full_bisection(d):
     m = np.exp(0.3j * d)
     for r0, c in [(1.0, 0.3), (0.7, 0.5j), (2.5, 0.0)]:
         curve = Mo.CurveInput(np.r_[np.zeros(d), r0 * m], np.array([m * c]), m)
-        assert Mo.find_circular_fold(curve) == _reference_fold_radius(curve)
+        rho, ref = Mo.find_circular_fold(curve), _reference_fold_radius(curve)
+        assert abs(rho - ref) <= 8 * np.spacing(ref)
+
+
+def _mean_square(curve, s):
+    # P(s), the circle mean of |w|^2 at radius sqrt(s), by Parseval
+    return sum(abs(c) ** 2 * s ** k
+               for coeffs in (curve.p_coeffs, curve.q_coeffs)
+               for k, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("p, q", [
+    *[(np.r_[np.zeros(d), 0.9 * np.exp(0.9j)], [0.35 + 0.25j])
+      for d in range(1, 6)],
+    ([0, 0.866], [0.5]),                  # the README curve
+    ([0, 0.5, 1e-100], [0.1]),            # a negligible top term
+    ([0, 0.1], [0.995]),                  # |w(0)| just below 1
+])
+def test_fold_radius_solves_the_mean_square_equation(p, q):
+    curve = Mo.CurveInput(np.array(p, complex), np.array(q, complex), 1.0)
+    rho = Mo.find_circular_fold(curve)
+    # rounding rho to a double moves P(rho^2) ~ rho^(2d) by up to d ulp
+    ulps = 2 * curve.degree + 2
+    assert abs(_mean_square(curve, rho * rho) - 1.0) \
+        <= ulps * np.spacing(1.0)
+
+
+def test_find_circular_fold_evaluates_the_curve_once(monkeypatch):
+    calls = []
+    evaluate = Mo.CurveInput.eval
+    monkeypatch.setattr(Mo.CurveInput, "eval",
+                        lambda self, z: calls.append(z.shape)
+                        or evaluate(self, z))
+    Mo.find_circular_fold(Mo.CurveInput(np.array([0, 0, 0.8]),
+                                        np.array([0.6]), 1.0))
+    assert calls == [(512,)]
+
+
+@pytest.mark.parametrize("p, q, message", [
+    ([0.3, 1.0], [0.2], "not a circle"),            # |w(0)| < 1
+    ([0, 1e-7], [1e-8], "never reaches 1"),         # rho = 1e7
+    ([0, 1e7], [1e-8], "exceeds 1 everywhere"),     # rho = 1e-7
+    ([1.0, 1.0], [0.0], "exceeds 1 everywhere"),    # |w(0)| = 1
+])
+def test_fold_outside_tier_1_is_a_tier_violation(p, q, message):
+    curve = Mo.CurveInput(np.array(p, complex), np.array(q, complex), 1.0)
+    with pytest.raises(TierViolationError, match=message):
+        Mo.find_circular_fold(curve)
 
 
 def test_noncircular_fold_tier_violation():

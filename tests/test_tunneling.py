@@ -399,6 +399,14 @@ def test_sample_rejects_nan_samples():
                           x, 1)
 
 
+@pytest.mark.parametrize("rho", [np.nan, -1.0, 0.0, np.inf])
+def test_sample_rejects_a_bad_fold_radius(rho):
+    # radii() and a conjugate partner would be built on it unchecked
+    vp, _, x = family_samples(0.3 + 0.1j, 1.0, M=64)
+    with pytest.raises(DomainError, match="fold radius rho"):
+        T.TunnelMapSample(rho, vp.ladder, vp.planes, x, 1)
+
+
 def test_sample_ladders_are_read_only_and_derived_fields_cached():
     vplus, _ = family_maps(0.3, 1.0)
     u = np.linspace(0.0, 8.0, 201)
