@@ -11,8 +11,9 @@ v_+, the lower chart beside v_-; v_+ errors come before any chart's, and
 the lower-ball error before any of v_-.  `verify_folded_holomorphic`
 checks each side's chart, and `check_conjugate` returns each side's
 derived fields and Hopf ratio.  The pool has exactly one thread because
-a folded map has exactly two sides; it is created on first use, never at
-import.  It is kept rather than started per call because `Thread.join`
+a folded map has exactly two sides.  The executor is built at import (and
+again in a forked child) but starts its thread on the first call.  The
+thread is kept rather than started per call because `Thread.join`
 returns before the OS thread has handed back its malloc arena: with
 glibc, a thread started per call then often gets an arena of its own,
 and every arena keeps its own freed memory.  Both halves read the one
@@ -24,13 +25,11 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional, TypeVar
+from typing import Callable, TypeVar
 
 S = TypeVar("S")
 R = TypeVar("R")
 
-_lock = threading.Lock()
-_pool: Optional[ThreadPoolExecutor] = None
 _local = threading.local()        # .pooled is True on the pool's thread
 
 
@@ -38,25 +37,23 @@ def _mark_pooled() -> None:
     _local.pooled = True
 
 
-def _forget_pool() -> None:
+def _new_pool() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=1,
+                              thread_name_prefix="foldedmaps-side",
+                              initializer=_mark_pooled)
+
+
+_pool = _new_pool()
+
+
+def _renew_pool() -> None:
     # a forked child inherits the executor but not its thread
-    global _lock, _pool
-    _lock = threading.Lock()
-    _pool = None
+    global _pool
+    _pool = _new_pool()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _executor() -> ThreadPoolExecutor:
-    global _pool
-    with _lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=1,
-                                       thread_name_prefix="foldedmaps-side",
-                                       initializer=_mark_pooled)
-        return _pool
+    os.register_at_fork(after_in_child=_renew_pool)
 
 
 def both(f: Callable[[S], R], plus: S, minus: S) -> tuple[R, R]:
@@ -69,7 +66,7 @@ def both(f: Callable[[S], R], plus: S, minus: S) -> tuple[R, R]:
     """
     if getattr(_local, "pooled", False):
         return f(plus), f(minus)
-    future = _executor().submit(f, minus)
+    future = _pool.submit(f, minus)
     try:
         first = f(plus)
     except BaseException:

@@ -33,27 +33,25 @@ def from_coeffs(c: np.ndarray) -> np.ndarray:
     return np.fft.ifft(c, axis=-1) * c.shape[-1]
 
 
-def theta_derivative(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Spectral d/dtheta along `axis`; exact for band-limited samples.
+def theta_derivative(values: np.ndarray) -> np.ndarray:
+    """Spectral d/dtheta along the last (angle) axis; exact if band-limited.
 
     One FFT, one multiply and one inverse FFT; the 1/M of the coefficients
     and the M of the synthesis cancel, so neither is applied.  Real data
     takes the real FFT pair, whose modes 0..M//2 lead `modes(m)`.
     """
-    m = values.shape[axis]
+    m = values.shape[-1]
     mult = 1j * modes(m)
     if m % 2 == 0:
         # kill the unmatched Nyquist mode of the odd derivative
         mult[m // 2] = 0.0
-    shape = [1] * values.ndim
-    shape[axis] = -1
     if np.isrealobj(values):
-        c = np.fft.rfft(values, axis=axis)
-        c *= mult[:m // 2 + 1].reshape(shape)
-        return np.fft.irfft(c, m, axis=axis)
-    c = np.fft.fft(values, axis=axis)
-    c *= mult.reshape(shape)
-    return np.fft.ifft(c, axis=axis, out=c)
+        c = np.fft.rfft(values)
+        c *= mult[:m // 2 + 1]
+        return np.fft.irfft(c, m)
+    c = np.fft.fft(values)
+    c *= mult
+    return np.fft.ifft(c, out=c)
 
 
 def theta_antiderivative(values: np.ndarray) -> np.ndarray:

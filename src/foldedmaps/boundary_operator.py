@@ -157,7 +157,10 @@ def boperator_data_from_bundle(bundle) -> BOperatorData:
 
     frame = _fold_frame(pair)
     if frame is None:
-        af = np.exp(4j * np.pi * pair.g_boundary)
+        # g, in [0, 1), is the circle-valued transition function on sigma
+        ratio = pair.v_minus.planes[0, 0] / pair.v_plus.planes[0, 0]
+        g = (np.angle(ratio) / TWO_PI) % 1.0
+        af = np.exp(4j * np.pi * g)
         return BOperatorData(pair.v_plus.rho, a, af, np.zeros(bundle.m_res),
                              np.zeros(bundle.m_res), degenerate_f=True)
     chi_p, af = frame
@@ -368,13 +371,18 @@ def symbol_homotopy_bt(a_samples: np.ndarray) -> float:
 
 
 def maslov_index(loop: TotallyRealLoop) -> int:
-    """Winding number of the squared determinant of the plane frames."""
+    """Winding number of the squared determinant of the plane frames.
+
+    The squared unit phase of the determinants is wound, not their
+    square, which overflows for frames of large but finite entries.
+    """
     dets = loop.dets()
-    if np.min(np.abs(dets)) < 1e-6:
+    size = np.abs(dets)
+    if np.min(size) < 1e-6:
         raise DomainError(
             "loop is not totally real: frame determinant vanishes "
-            f"(min {np.min(np.abs(dets)):.3e})")
-    return sp.phase_winding(dets ** 2)
+            f"(min {np.min(size):.3e})")
+    return sp.phase_winding((dets / size) ** 2)
 
 
 def fredholm_index(mu_plus: int, mu_minus: int, chi: int) -> int:
@@ -417,9 +425,13 @@ def boundary_condition_loops(bundle) -> tuple[TotallyRealLoop, TotallyRealLoop]:
 # certificate
 
 
+# Euler characteristic of the domain sphere, the chi of both indices
+DOMAIN_EULER_CHI = 2
+
+
 def ellipticity_certificate(data: BOperatorData,
-                            loops: tuple[TotallyRealLoop, TotallyRealLoop],
-                            chi: int = 2) -> dict:
+                            loops: tuple[TotallyRealLoop, TotallyRealLoop]
+                            ) -> dict:
     """Full certificate: symbol minimum, homotopy bound, indices."""
     rep = check_ellipticity(data)
     mu_p = maslov_index(loops[0])
@@ -430,8 +442,8 @@ def ellipticity_certificate(data: BOperatorData,
         "homotopyMin": symbol_homotopy_bt(data.a_samples),
         "maslovPlus": mu_p,
         "maslovMinus": mu_m,
-        "index": fredholm_index(mu_p, mu_m, chi),
-        "reducedIndex": reduced_index(mu_p, mu_m, chi),
+        "index": fredholm_index(mu_p, mu_m, DOMAIN_EULER_CHI),
+        "reducedIndex": reduced_index(mu_p, mu_m, DOMAIN_EULER_CHI),
         "pass": bool(rep.passed),
         "argminSample": rep.argmin_sample,
     }

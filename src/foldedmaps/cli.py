@@ -87,6 +87,14 @@ def parse_complex(s: str) -> complex:
     return z
 
 
+def _unit_m(s: str) -> complex:
+    """The parameter m parsed, checked to have |m| = 1 and normalized."""
+    m = parse_complex(s)
+    if abs(abs(m) - 1.0) > M_MODULUS_TOL:
+        raise InputError(f"|m| must be 1, got {abs(m)}")
+    return m / abs(m)
+
+
 def _validate_resolution(m: int) -> int:
     if m & (m - 1) != 0 or not 64 <= m <= 8192:
         raise InputError(
@@ -98,7 +106,9 @@ def _validate_resolution(m: int) -> int:
 # commands
 
 
-def _full_report(bundle, kind: str) -> tuple[dict, bool]:
+def _full_report(bundle, kind: str, path: str) -> int:
+    """Verify a bundle, write its report with the certificate to path and
+    return the exit code."""
     report = moduli.verify_folded_holomorphic(bundle)
     data = bop.boperator_data_from_bundle(bundle)
     loops = bop.boundary_condition_loops(bundle)
@@ -108,20 +118,16 @@ def _full_report(bundle, kind: str) -> tuple[dict, bool]:
     out["certificate"] = cert
     passed = report.passed() and bool(cert["pass"])
     out["pass"] = passed
-    return out, passed
+    _write(format_json(out), path)
+    return EXIT_PASS if passed else EXIT_VERIFY
 
 
 def cmd_degree1(args) -> int:
     c = parse_complex(args.c)
-    m = parse_complex(args.m)
+    m = _unit_m(args.m)
     m_res = _validate_resolution(args.resolution)
-    if abs(abs(m) - 1.0) > M_MODULUS_TOL:
-        raise InputError(f"|m| must be 1, got {abs(m)}")
-    m = m / abs(m)
     bundle = moduli.degree1_family(moduli.ModuliParam(c, m), m_res)
-    out, passed = _full_report(bundle, "degree1_report")
-    _write(format_json(out), args.out)
-    return EXIT_PASS if passed else EXIT_VERIFY
+    return _full_report(bundle, "degree1_report", args.out)
 
 
 def cmd_degree_d(args) -> int:
@@ -132,19 +138,15 @@ def cmd_degree_d(args) -> int:
         raise InputError(f"cannot read curve file {args.curve!r}: {exc}")
     m_res = _validate_resolution(args.resolution)
     bundle = moduli.construct_degree_d(curve, curve.m, m_res)
-    out, passed = _full_report(bundle, "degree_d_report")
-    _write(format_json(out), args.out)
-    return EXIT_PASS if passed else EXIT_VERIFY
+    return _full_report(bundle, "degree_d_report", args.out)
 
 
 def cmd_compactify(args) -> int:
-    m = parse_complex(args.m)
-    if abs(abs(m) - 1.0) > M_MODULUS_TOL:
-        raise InputError(f"|m| must be 1, got {abs(m)}")
+    m = _unit_m(args.m)
     if args.steps < 2:
         raise InputError("need at least 2 steps")
     rows = moduli.compactification_sample(
-        np.linspace(0.0, 0.99, args.steps), m / abs(m),
+        np.linspace(0.0, 0.99, args.steps), m,
         _validate_resolution(args.resolution), COMPACTIFY_RADIAL_NODES)
     lines = ["c_abs,E_uplus,E_uminus,E_total,limit_label"]
     for r in rows:

@@ -62,13 +62,11 @@ Radii = Union[float, np.ndarray, None]
 class BoundaryLoopSamples:
     """Uniform samples of a function on a circle of given radius.
 
-    The sample count must be a power of two; `orientation` flips the sign
-    of loop integrals.
+    The sample count must be a power of two.
     """
 
     values: np.ndarray
     radius: float = 1.0
-    orientation: int = +1
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -76,8 +74,6 @@ class BoundaryLoopSamples:
         m = v.shape[0]
         if m & (m - 1) != 0 or m < 4:
             raise DomainError(f"sample count must be a power of two, got {m}")
-        if self.orientation not in (+1, -1):
-            raise DomainError("orientation must be +1 or -1")
 
     @property
     def m(self) -> int:
@@ -291,7 +287,7 @@ def harmonic_conjugate(fld: LaurentField) -> LaurentField:
 def boundary_period(one_form_samples: BoundaryLoopSamples) -> float:
     """Loop integral of a sampled 1-form coefficient (on d theta)."""
     v = np.real(one_form_samples.values)
-    return float(one_form_samples.orientation * np.mean(v) * TWO_PI)
+    return float(np.mean(v) * TWO_PI)
 
 
 def solve_Qtilde(zeta_k: BoundaryLoopSamples) -> tuple[BoundaryLoopSamples, BoundaryLoopSamples]:
@@ -333,7 +329,7 @@ def solve_f_degree_d(alpha_pullback_tangent: BoundaryLoopSamples,
         raise PeriodObstructionError(
             f"tangential data has nonzero period {np.mean(vals) * TWO_PI!r}")
     # marker parameter; raises if the value is off the characteristic
-    phi = TWO_PI * x.parameter_of(marker_value, tol=1e-8)
+    phi = TWO_PI * x.parameter_of(marker_value)
 
     re_boundary = sp.theta_antiderivative(-2.0 * vals)
     kind = ExteriorPunctured(data.radius)

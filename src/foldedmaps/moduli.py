@@ -17,6 +17,8 @@ import numpy as np
 
 from . import _spectral as sp
 from ._sides import both
+from .boundary_operator import (boperator_data_from_bundle,
+                                boundary_condition_loops, report_sections)
 from .config import CONFIG
 from .errors import (DomainError, InputError, NonImmersedBoundaryError,
                      TierViolationError, VerificationError)
@@ -26,8 +28,7 @@ from .sphere import (CharacteristicParam, FoldPoint, ProjectivePoint,
                      hopf_project)
 from .tunneling import (ConjugacyReport, ConjugatePair, Ladder,
                         TunnelMapSample, check_conjugate, default_ladder,
-                        fold_data, make_conjugate_pair, sample_tunnel_map,
-                        tunneling_omega_energy)
+                        fold_data, sample_tunnel_map, tunneling_omega_energy)
 
 TWO_PI = 2.0 * np.pi
 # tag of the reports written by bundle_report and the CLI
@@ -304,7 +305,7 @@ def _assemble(sides: tuple[tuple, tuple], boundary_plus: np.ndarray,
     return FoldedMapBundle(
         psi_scale=psi_scale, chart_plus=chart_p, chart_minus=chart_m,
         boundary_plus=boundary_plus, boundary_minus=boundary_minus,
-        pair=make_conjugate_pair(vp, vm), energies=energies,
+        pair=ConjugatePair(vp, vm), energies=energies,
         label=label)
 
 
@@ -478,13 +479,6 @@ class CurveInput:
         return CurveInput(arr("p"), arr("q"),
                           complex(data["m"][0], data["m"][1]))
 
-    def to_json(self) -> dict:
-        return {
-            "p": [[z.real, z.imag] for z in self.p_coeffs],
-            "q": [[z.real, z.imag] for z in self.q_coeffs],
-            "m": [self.m.real, self.m.imag],
-        }
-
 
 def find_circular_fold(curve: CurveInput) -> float:
     """Radius of the circular fold |w| = 1, certified to tolerance.
@@ -495,12 +489,19 @@ def find_circular_fold(curve: CurveInput) -> float:
     where P is in [1, d + 1] (a_d^{-1/d} for w = (p_d z^d, q_0)).  The
     Tier-1 contract then requires |w| = 1 on 512 samples of the circle.
     """
-    a = np.zeros(curve.degree + 1)
-    a[:len(curve.p_coeffs)] += np.abs(curve.p_coeffs) ** 2
-    a[:len(curve.q_coeffs)] += np.abs(curve.q_coeffs) ** 2
     poly = np.polynomial.polynomial
     lo, hi = FOLD_RADIUS_RANGE
-    if poly.polyval(hi * hi, a) < 1.0:
+    a = np.zeros(curve.degree + 1)
+    # a square past the float range is rejected below; a P(hi^2) past it
+    # is inf, which reaches 1
+    with np.errstate(over="ignore"):
+        a[:len(curve.p_coeffs)] += np.abs(curve.p_coeffs) ** 2
+        a[:len(curve.q_coeffs)] += np.abs(curve.q_coeffs) ** 2
+        p_hi = poly.polyval(hi * hi, a)
+    if not np.all(np.isfinite(a)):
+        raise TierViolationError(
+            "no fold circle: a curve coefficient's square overflows")
+    if p_hi < 1.0:
         raise TierViolationError("no fold circle: |w| never reaches 1")
     if a[0] >= 1.0 or poly.polyval(lo * lo, a) > 1.0:
         raise TierViolationError("no fold circle: |w| exceeds 1 everywhere")
@@ -649,8 +650,6 @@ def bundle_report(bundle: FoldedMapBundle,
     boundary-condition loops are computed here unless the caller passes
     them in.
     """
-    from .boundary_operator import (boperator_data_from_bundle,
-                                    boundary_condition_loops, report_sections)
     if report is None:
         report = verify_folded_holomorphic(bundle)
     if op_data is None:

@@ -30,6 +30,7 @@ from .errors import DomainError
 TWO_PI = 2.0 * np.pi
 TANGENT_TOL = 1e-10    # TangentAtFold: largest |<p, v>| / max(1, |v|)
 HEMISPHERE_TOL = 1e-9  # chart_of_hemisphere: how far past the equator
+CHARACTERISTIC_TOL = 1e-8  # CharacteristicParam.parameter_of: largest |w|
 
 # bytes of rows per ring block: 8 complex rings at M = 2048, so one
 # block's input and output rows stay in L2, and more rings at smaller M,
@@ -63,7 +64,7 @@ class Point4Sphere:
         return float(self.x[0])
 
     def equator_part(self) -> np.ndarray:
-        """The C^2 part (x1 + i x2, x3 + i x4)."""
+        """The projection Pi dropping x0, (x1 + i x2, x3 + i x4) in C^2."""
         return np.array([self.x[1] + 1j * self.x[2],
                          self.x[3] + 1j * self.x[4]])
 
@@ -120,9 +121,9 @@ class CharacteristicParam:
     def point(self, theta: float) -> FoldPoint:
         return FoldPoint(self.m * np.exp(2j * np.pi * theta), 0.0)
 
-    def parameter_of(self, p: FoldPoint, tol: float = 1e-8) -> float:
+    def parameter_of(self, p: FoldPoint) -> float:
         """Inverse parametrisation; p must lie on the characteristic."""
-        if abs(p.w) > tol:
+        if abs(p.w) > CHARACTERISTIC_TOL:
             raise DomainError(f"point not on the characteristic: |w| = {abs(p.w)}")
         return float(np.angle(p.z / self.m) / TWO_PI) % 1.0
 
@@ -272,11 +273,6 @@ def chart_of_hemisphere(p: Point4Sphere, side: int) -> np.ndarray:
     if side * p.x0 < -HEMISPHERE_TOL:
         raise DomainError("point not on the requested closed hemisphere")
     return p.equator_part() / (1.0 + side * p.x0)
-
-
-def project_equator(p: Point4Sphere) -> np.ndarray:
-    """Coordinate projection Pi dropping x0, as a vector of C^2 = R^4."""
-    return p.equator_part()
 
 
 def involution(p: Point4Sphere) -> Point4Sphere:
@@ -453,7 +449,7 @@ def omega_energy(y: np.ndarray, radii: np.ndarray, weights: np.ndarray,
                                     and np.shape(dy) != y.shape):
         raise DomainError("grid shape mismatch")
     vals, dr = _equator_planes(y, dy)
-    dt = sp.theta_derivative(vals, axis=-1)
+    dt = sp.theta_derivative(vals)
     if dr is None:
         # one real matmul per plane over its interleaved (re, im) columns
         d = _barycentric_diff_matrix(radii)

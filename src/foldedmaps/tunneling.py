@@ -111,11 +111,6 @@ def default_ladder() -> Ladder:
     return Ladder(np.arange(0.0, 8.02, 0.04))
 
 
-def _d_theta(values: np.ndarray) -> np.ndarray:
-    """Spectral d/dtheta of ladder data (..., M), one FFT along the angles."""
-    return sp.theta_derivative(values, axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # samples
 
@@ -230,7 +225,7 @@ def derived_fields(v: TunnelMapSample) -> _Derived:
         return v._derived
     a, b = v.planes
     r, m = a.shape
-    dth_a, dth_b = _d_theta(v.planes)
+    dth_a, dth_b = sp.theta_derivative(v.planes)
     x = v.planes.view(float)                   # (2, R, 2M)
     alpha_t = np.empty((r, m))
     alpha_u = np.empty((r, m))
@@ -285,14 +280,14 @@ def residual_H(v: TunnelMapSample) -> HResidual:
     d = derived_fields(v)
     h = hopf_ratio(v)
     h_u = v.ladder.d_u(h)
-    h_t = _d_theta(h)
+    h_t = sp.theta_derivative(h)
     dbar = 0.5 * (h_u + 1j * h_t)
     f_res = float(np.max(np.abs(dbar) / (1.0 + np.abs(h) ** 2)))
 
     # (v*alpha o j) has components (alpha_t, -alpha_u) on (d_u, d_theta)
     lam_u = d.alpha_t
     lam_t = -d.alpha_u
-    closed = v.ladder.d_u(lam_t) - _d_theta(lam_u)
+    closed = v.ladder.d_u(lam_t) - sp.theta_derivative(lam_u)
     l_res = float(np.max(np.abs(closed)))
     return HResidual(f_res, l_res)
 
@@ -340,11 +335,11 @@ def asymptotic_energy(v: TunnelMapSample, delta: float) -> EnergyProfile:
     a_s = TWO_PI * d.alpha_u
     a_t = TWO_PI * d.alpha_t
     a_t_s = TWO_PI * v.ladder.d_u(a_t)
-    a_t_t = TWO_PI * _d_theta(a_t)
+    a_t_t = TWO_PI * sp.theta_derivative(a_t)
     # F-coefficients of dv(d_theta) and dv(d_u) on every ring, needed here
     # only, so built here and not cached
     a, b = v.planes
-    dth_a, dth_b = _d_theta(v.planes)
+    dth_a, dth_b = sp.theta_derivative(v.planes)
     chi_t = 0.0 + (-b) * dth_a + a * dth_b
     chi_u = 0.0 + (-b) * v.ladder.d_u(a) + a * v.ladder.d_u(b)
     pf2 = (TWO_PI ** 2) * (np.abs(chi_u) ** 2 + np.abs(chi_t) ** 2)
@@ -422,17 +417,14 @@ def gap_function(u_plus_alpha: BoundaryLoopSamples,
 
 @dataclass
 class ConjugatePair:
-    """Conjugate tunneling maps with their transition data.
+    """Conjugate tunneling maps.
 
-    g_boundary are samples of the circle-valued transition function on
-    sigma (values in [0,1) mod 1).  The conformal factor relating the two
-    pullbacks of omega is identically one in the circle-invariant theory,
-    so it is not stored.
+    The conformal factor relating the two pullbacks of omega is
+    identically one in the circle-invariant theory, so it is not stored.
     """
 
     v_plus: TunnelMapSample
     v_minus: TunnelMapSample
-    g_boundary: np.ndarray
 
 
 @dataclass
@@ -501,7 +493,7 @@ def check_conjugate(pair: ConjugatePair) -> ConjugacyReport:
         i1 = min(i0 + step, vp.n_rings)
         du = np.empty((i1 - i0, vp.m))
         vp.ladder.d_u_rows(du, d_t, i0, i1)
-        du -= _d_theta(dp.alpha_u[i0:i1] - dm.alpha_u[i0:i1])
+        du -= sp.theta_derivative(dp.alpha_u[i0:i1] - dm.alpha_u[i0:i1])
         omega_res = float(np.maximum(omega_res, np.max(np.abs(du))))
 
     lam_sigma = -(dp.alpha_u[0] + dm.alpha_u[0])
@@ -558,14 +550,6 @@ def conjugate_partner(v_plus: TunnelMapSample,
     planes = np.exp(2j * np.pi * g_tot) * v_plus.planes
     return TunnelMapSample(v_plus.rho, v_plus.ladder, planes, x,
                            -v_plus.degree)
-
-
-def make_conjugate_pair(v_plus: TunnelMapSample,
-                        v_minus: TunnelMapSample) -> ConjugatePair:
-    """Assemble a ConjugatePair, reading the transition off the samples."""
-    ratio = v_minus.planes[0, 0] / v_plus.planes[0, 0]
-    g_boundary = (np.angle(ratio) / TWO_PI) % 1.0
-    return ConjugatePair(v_plus, v_minus, g_boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -427,7 +427,9 @@ def test_immersion_floor_decides_data_and_loops_together(monkeypatch):
     data = B.boperator_data_from_bundle(BUNDLE)
     assert data.degenerate_f
     assert not np.any(data.f_chi) and not np.any(data.f_jchi)
-    af = np.exp(4j * np.pi * BUNDLE.pair.g_boundary)
+    # the transition phase g on sigma, in [0, 1)
+    ratio = BUNDLE.pair.v_minus.planes[0, 0] / BUNDLE.pair.v_plus.planes[0, 0]
+    af = np.exp(4j * np.pi * ((np.angle(ratio) / (2.0 * np.pi)) % 1.0))
     assert data.af_samples.tobytes() == af.tobytes()
     for loop in B.boundary_condition_loops(BUNDLE):
         assert loop.frames[:, 0, 0].tobytes() == np.exp(1j * TH).tobytes()

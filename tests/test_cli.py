@@ -144,11 +144,14 @@ def test_degree_d_matches_degree1(tmp_path):
                - r1["residuals"]["max_residual"]) < 1e-7
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_degree_d_tier_violation(tmp_path):
     for p, q in [([5.0, 1.0], [0.1]),       # |w(0)| > 1
                  ([0.3, 1.0], [0.2]),       # not a circle
                  ([0, 1e-7], [1e-8]),       # a circle of radius 1e7
-                 ([0, 1e7], [1e-8])]:       # a circle of radius 1e-7
+                 ([0, 1e7], [1e-8]),        # a circle of radius 1e-7
+                 ([0, 1e200], [0.1]),       # |p_1|^2 overflows
+                 ([0, 1e150], [0.1])]:      # P(s) overflows at s = 1e12
         curve = _curve_file(tmp_path, p, q)
         code = run(["degree-d", "--curve", curve, "--resolution", "128",
                     "--out", str(tmp_path / "x.json")])
@@ -282,6 +285,24 @@ def test_certificate_reads_schema_1_reports(tmp_path, report64):
         certs.append(out.read_text())
     assert certs[0] == certs[1]
     assert json.loads(certs[1])["schema"] == "folded-maps/2"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_certificate_of_large_loop_directions(tmp_path, report64):
+    # the indices depend on the phases of the loop directions only, so
+    # directions scaled by 1e200 certify exactly like the report itself
+    scaled = copy.deepcopy(report64)
+    scaled["loops"] = {k: [1e200 * x for x in v]
+                       for k, v in scaled["loops"].items()}
+    certs = []
+    for name, rep in (("plain", report64), ("scaled", scaled)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(rep))
+        out = tmp_path / f"{name}-cert.json"
+        assert run(["certificate", "--bundle", str(path),
+                    "--out", str(out)]) == cli.EXIT_PASS
+        certs.append(out.read_text())
+    assert certs[0] == certs[1]
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))

@@ -199,8 +199,6 @@ def test_period_exact_differential():
 def test_period_dtheta():
     assert abs(H.boundary_period(H.BoundaryLoopSamples(np.ones(M)))
                - 2 * np.pi) < 1e-12
-    rev = H.BoundaryLoopSamples(np.ones(M), orientation=-1)
-    assert abs(H.boundary_period(rev) + 2 * np.pi) < 1e-12
 
 
 # ---------------------------------------------------------------------------

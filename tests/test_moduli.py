@@ -146,9 +146,9 @@ def test_energy_identities_across_family():
 def test_verify_detects_involution_reflection():
     # lower map built by reflecting the upper one through the fold gives a
     # continuous image; its tunneling double fails the marker condition
-    from foldedmaps.tunneling import make_conjugate_pair, check_conjugate
+    from foldedmaps.tunneling import ConjugatePair, check_conjugate
     b = small_family(0.5, 1.0)
-    naive = make_conjugate_pair(b.pair.v_plus, b.pair.v_plus)
+    naive = ConjugatePair(b.pair.v_plus, b.pair.v_plus)
     rep = check_conjugate(naive)
     assert rep.marker_defect > 0.1
 
@@ -283,14 +283,6 @@ def test_curve_input_validation():
         Mo.CurveInput(np.array([0, 1.0]), np.array([0.5]), complex(np.nan))
 
 
-def test_curve_json_roundtrip():
-    c = Mo.CurveInput(np.array([0, 0.8]), np.array([0.6j]), np.exp(0.5j))
-    c2 = Mo.CurveInput.from_json(c.to_json())
-    assert np.allclose(c2.p_coeffs, c.p_coeffs)
-    assert np.allclose(c2.q_coeffs, c.q_coeffs)
-    assert abs(c2.m - c.m) < 1e-15
-
-
 def test_degree1_oracle_equivalence():
     c, m = 0.5 + 0.2j, np.exp(0.7j)
     r0 = np.sqrt(1 - abs(c) ** 2)
@@ -353,7 +345,7 @@ def _check_concurrent_callers(m_res, nr, rounds):
     builds = [lambda: Mo.degree1_family(Mo.ModuliParam(c, m), m_res, nr),
               lambda: Mo.construct_degree_d(curve, m, m_res, nr)]
     # a call made on the side thread runs both of its sides inline
-    expected = [_sides._executor().submit(_report_text, b).result(timeout=60)
+    expected = [_sides._pool.submit(_report_text, b).result(timeout=60)
                 for b in builds]
     failures = []
 

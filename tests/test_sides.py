@@ -1,4 +1,7 @@
 import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -130,3 +133,21 @@ def test_forked_child_gets_a_fresh_pool():
             child.kill()
     assert child.exitcode == 0
     assert result == (2, 4)
+
+
+def test_side_thread_starts_on_the_first_call():
+    # the executor exists from import; its one thread starts on first use
+    src = os.path.dirname(os.path.dirname(os.path.abspath(_sides.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import threading\n"
+            "import foldedmaps.cli\n"
+            "from foldedmaps import _sides\n"
+            "before = threading.active_count()\n"
+            "_sides.both(abs, -1, -2)\n"
+            "print(before, threading.active_count())\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "2"]

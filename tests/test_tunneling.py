@@ -139,7 +139,7 @@ def omega_density(v):
     """Pullback of omega_Z = d(alpha) in the (u, theta) coordinates of
     one sample: the oracle of the difference route of check_conjugate."""
     d = T.derived_fields(v)
-    return v.ladder.d_u(d.alpha_t) - T._d_theta(d.alpha_u)
+    return v.ladder.d_u(d.alpha_t) - sp.theta_derivative(d.alpha_u)
 
 
 def test_one_ladder_and_one_weight_build_per_construction(monkeypatch):
@@ -177,16 +177,17 @@ def test_d_theta_matches_per_ring():
     expected = np.stack([
         np.stack([sp.theta_derivative(planes[c, i]) for i in range(7)])
         for c in (0, 1)])
-    assert T._d_theta(planes).tobytes() == expected.tobytes()
+    assert sp.theta_derivative(planes).tobytes() == expected.tobytes()
     real = planes[0].real
     expected = np.stack([sp.theta_derivative(real[i]) for i in range(7)])
-    assert np.ascontiguousarray(T._d_theta(real)).tobytes() == expected.tobytes()
+    out = np.ascontiguousarray(sp.theta_derivative(real))
+    assert out.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("m", [16, 15])
 def test_real_theta_derivative_rows_match_1d_calls(m):
     x = RNG.normal(size=(7, m))
-    out = sp.theta_derivative(x, axis=-1)
+    out = sp.theta_derivative(x)
     assert out.dtype == np.float64
     for i in range(7):
         assert out[i].tobytes() == sp.theta_derivative(x[i]).tobytes()
@@ -196,12 +197,11 @@ def test_real_theta_derivative_rows_match_1d_calls(m):
 def test_real_theta_derivative_matches_complex_route(m):
     # the real FFT pair and the complex one, Nyquist mode included
     x = RNG.normal(size=(5, m))
-    for axis, data in ((-1, x), (0, x.T)):
-        real = sp.theta_derivative(data, axis=axis)
-        full = sp.theta_derivative(data.astype(complex), axis=axis)
-        scale = float(np.max(np.abs(full)))
-        assert float(np.max(np.abs(real - full.real))) <= 1e-13 * scale
-        assert float(np.max(np.abs(full.imag))) <= 1e-13 * scale
+    real = sp.theta_derivative(x)
+    full = sp.theta_derivative(x.astype(complex))
+    scale = float(np.max(np.abs(full)))
+    assert float(np.max(np.abs(real - full.real))) <= 1e-13 * scale
+    assert float(np.max(np.abs(full.imag))) <= 1e-13 * scale
 
 
 def test_d_u_stencil_is_per_ladder():
@@ -245,7 +245,7 @@ def test_d_u_stencil_cache_under_threads():
 def derived_reference(v):
     """The derived fields by whole-ladder formulas, every product kept."""
     a, b = v.planes
-    dth_a, dth_b = T._d_theta(v.planes)
+    dth_a, dth_b = sp.theta_derivative(v.planes)
     du_a = d_u_direct(a, v.ladder.u)
     du_b = d_u_direct(b, v.ladder.u)
     ca, cb = np.conj(a), np.conj(b)
@@ -282,7 +282,7 @@ def test_asymptotic_energy_matches_whole_ladder_chi():
     a_t = T.TWO_PI * alpha_t
     dens = (np.abs(T.TWO_PI * alpha_u) ** 2
             + (T.TWO_PI * vp.ladder.d_u(a_t)) ** 2
-            + (T.TWO_PI * T._d_theta(a_t)) ** 2
+            + (T.TWO_PI * sp.theta_derivative(a_t)) ** 2
             + (T.TWO_PI ** 2) * (np.abs(chi_u) ** 2 + np.abs(chi_t) ** 2))
     ring_density = np.mean(dens, axis=1) * np.exp(delta * s)
     e_r = np.array([simpson(ring_density[i:], x=s[i:])
@@ -569,7 +569,7 @@ def test_gap_rejects_nan_samples():
 def test_check_conjugate_family():
     for c, m in [(0.5 + 0.2j, np.exp(0.7j)), (0.75, 1.0), (0.2j, np.exp(2j))]:
         vp, vm, x = family_samples(c, m)
-        rep = T.check_conjugate(T.make_conjugate_pair(vp, vm))
+        rep = T.check_conjugate(T.ConjugatePair(vp, vm))
         assert rep.max_residual() < 1e-8, (c, m, rep)
 
 
@@ -589,13 +589,12 @@ def _ring_tampered_pair():
     vp, vm, _ = family_samples(0.4 + 0.1j, np.exp(0.2j))
     planes = vm.planes.copy()
     planes[:, 4] *= np.exp(0.01j * np.sin(sp.angles(vm.m)))
-    return T.make_conjugate_pair(
+    return T.ConjugatePair(
         vp, T.TunnelMapSample(vm.rho, vm.ladder, planes, vm.x, vm.degree))
 
 
 @pytest.mark.parametrize("make", [
-    lambda: T.make_conjugate_pair(*family_samples(0.4 + 0.1j,
-                                                  np.exp(0.2j))[:2]),
+    lambda: T.ConjugatePair(*family_samples(0.4 + 0.1j, np.exp(0.2j))[:2]),
     _degree3_pair, _ring_tampered_pair], ids=["degree1", "degree3",
                                               "tampered"])
 def test_omega_residual_matches_per_side_oracle(make):
@@ -614,12 +613,12 @@ def test_check_conjugate_rejects_samples_on_different_ladders():
     u = vm.ladder.u * 1.01
     other = T.TunnelMapSample(vm.rho, T.Ladder(u), vm.planes, vm.x, vm.degree)
     with pytest.raises(DomainError, match="different grids"):
-        T.check_conjugate(T.make_conjugate_pair(vp, other))
+        T.check_conjugate(T.ConjugatePair(vp, other))
 
 
 def test_conjugate_base_projections_agree():
     vp, vm, x = family_samples(0.4 + 0.4j, 1.0)
-    rep = T.check_conjugate(T.make_conjugate_pair(vp, vm))
+    rep = T.check_conjugate(T.ConjugatePair(vp, vm))
     assert rep.base_distance < 1e-8
 
 
@@ -628,7 +627,7 @@ def test_check_conjugate_detects_flow_shift():
     shifted = T.TunnelMapSample(
         vm.rho, vm.ladder,
         np.exp(2j * np.pi * 0.3) * vm.planes, x, vm.degree)
-    rep = T.check_conjugate(T.make_conjugate_pair(vp, shifted))
+    rep = T.check_conjugate(T.ConjugatePair(vp, shifted))
     assert abs(rep.marker_defect - abs(np.exp(2j * np.pi * 0.3) - 1)) < 1e-6
 
 
@@ -636,7 +635,7 @@ def test_check_conjugate_rejects_naive_double():
     # v- = v+ (the reflection-through-the-fold construction): the marker
     # condition fails away from the reference direction
     vp, _, x = family_samples(0.5, 1.0)
-    rep = T.check_conjugate(T.make_conjugate_pair(vp, vp))
+    rep = T.check_conjugate(T.ConjugatePair(vp, vp))
     assert rep.marker_defect > 0.1
 
 
@@ -672,7 +671,7 @@ def test_conjugate_partner_matches_closed_form():
         built = T.conjugate_partner(vp, x)
         assert np.max(np.abs(built.rings - vm.rings)) < 1e-7
         assert built.degree == -1
-        rep = T.check_conjugate(T.make_conjugate_pair(vp, built))
+        rep = T.check_conjugate(T.ConjugatePair(vp, built))
         assert rep.max_residual() < 1e-7
 
 
@@ -705,7 +704,7 @@ def test_conjugate_partner_twisted_family():
     assert max(res.f_residual, res.l_residual) < 1e-7
     built = T.conjugate_partner(vp, x)
     assert np.max(np.abs(built.rings - vm_expected.rings)) < 1e-7
-    rep = T.check_conjugate(T.make_conjugate_pair(vp, built))
+    rep = T.check_conjugate(T.ConjugatePair(vp, built))
     assert rep.max_residual() < 1e-7
 
 
@@ -757,7 +756,7 @@ def test_conjugate_partner_characteristic_circle():
 def test_lambda_vanishes_after_partner():
     vp, _, x = family_samples(0.55, np.exp(0.4j))
     vm = T.conjugate_partner(vp, x)
-    rep = T.check_conjugate(T.make_conjugate_pair(vp, vm))
+    rep = T.check_conjugate(T.ConjugatePair(vp, vm))
     assert rep.lambda_residual < 1e-8
 
 
