@@ -9,8 +9,8 @@ with their energies.  A degree-d build has two phases, so its run has
 four: v_+ beside the upper chart, then, with the multiplier solved from
 v_+, the lower chart beside v_-; v_+ errors come before any chart's, and
 the lower-ball error before any of v_-.  `verify_folded_holomorphic`
-checks each side's chart, and `check_conjugate` returns each side's
-derived fields and Hopf ratio.  The pool has exactly one thread because
+checks each side's chart, and `check_conjugate` sweeps one half of the
+ladder's rings on each thread.  The pool has exactly one thread because
 a folded map has exactly two sides.  The executor is built at import (and
 again in a forked child) but starts its thread on the first call.  The
 thread is kept rather than started per call because `Thread.join`

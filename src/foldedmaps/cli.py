@@ -73,8 +73,11 @@ def _write(text: str, path: str) -> None:
     if path == "-":
         sys.stdout.write(text + "\n")
     else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {path!r}: {exc}") from exc
 
 
 def parse_complex(s: str) -> complex:

@@ -134,9 +134,13 @@ class ChartGrid:
         det(omega) is positive on the upper chart and negative on the
         lower one, whose transverse coordinate is -x0.
         """
-        tau = det_omega_closed_form(side * _x0(self.planes))
+        step, short = _block_rings(16 * self.m), 0.0
+        for i0 in range(0, len(self.radii), step):
+            x0 = _x0(self.planes[:, i0:i0 + step])
+            tau = det_omega_closed_form(side * x0)
+            short = np.maximum(short, -np.min(side * tau))
         # keeps NaN; a tie returns the second operand, so -0.0 reads +0.0
-        return float(np.maximum(-np.min(side * tau), 0.0))
+        return float(np.maximum(short, 0.0))
 
 
 @dataclass

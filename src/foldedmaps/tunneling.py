@@ -63,20 +63,25 @@ class Ladder:
                               "strictly increasing rings")
         r, width = len(u), min(self.WIDTH, len(u))
         lo = np.clip(np.arange(r) - width // 2, 0, r - width)
-        self.u = u
+        self.u, self._lo = u, lo       # _lo: first ring of each window
         self.weights = sp.fd_weights(u[lo[:, None] + np.arange(width)], u, 1)
         u.flags.writeable = self.weights.flags.writeable = False
 
-    def d_u_rows(self, out: np.ndarray, x: np.ndarray, i0: int,
-                 i1: int) -> None:
-        """Rows [i0, i1) of d/du of the float ladder x (R, n) into out.
+    def reads(self, i0: int, i1: int) -> tuple[int, int]:
+        """The rows [j0, j1) of ladder data that rows [i0, i1) of d/du read."""
+        return self._lo[i0], self._lo[i1 - 1] + self.weights.shape[1]
 
-        The edge rows at either end share one window; the rows between have
+    def d_u_rows(self, out: np.ndarray, x: np.ndarray, i0: int, i1: int,
+                 j0: int = 0) -> None:
+        """Rows [i0, i1) of d/du of float ladder data (R, n) into out.
+
+        x holds the data's rows from j0 on, `reads(i0, i1)` at least.  The
+        edge rows at either end share one window; the rows between have
         centred windows, read as a sliding window view of x.  Each row block
         is one einsum contraction over the window, summed left to right.
         """
         w = self.weights
-        r, width = x.shape[0], w.shape[1]
+        r, width = w.shape
         half = width // 2
         hi = r - width + half + 1          # rows [half, hi) are centred
         a = min(max(i0, half), i1)
@@ -84,10 +89,11 @@ class Ladder:
         if a > i0:
             np.einsum("kj,jm->km", w[i0:a], x[:width], out=out[:a - i0])
         if b > a:
-            windows = sliding_window_view(x, width, axis=0)[a - half:b - half]
+            windows = sliding_window_view(x, width, axis=0)[
+                a - half - j0:b - half - j0]
             np.einsum("kj,kmj->km", w[a:b], windows, out=out[a - i0:b - i0])
         if i1 > b:
-            np.einsum("kj,jm->km", w[b:i1], x[r - width:], out=out[b - i0:])
+            np.einsum("kj,jm->km", w[b:i1], x[-width:], out=out[b - i0:])
 
     def d_u(self, values: np.ndarray) -> np.ndarray:
         """d/du along axis 0 of ladder data (R, ...).
@@ -135,6 +141,8 @@ class TunnelMapSample:
     degree: int
     _derived: Optional[_Derived] = field(default=None, init=False,
                                          repr=False, compare=False)
+    _b_over_a: bool = field(default=True, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         # negated, so a NaN radius fails too
@@ -150,13 +158,14 @@ class TunnelMapSample:
             raise DomainError("ring ladder shape mismatch")
         # swept in ring blocks, so the norm temporaries stay block-sized;
         # the negated test rejects NaN samples too
-        a, b = self.planes
-        step = _block_rings(a[0].nbytes)
-        for i0 in range(0, len(a), step):
-            norms = (np.abs(a[i0:i0 + step]) ** 2
-                     + np.abs(b[i0:i0 + step]) ** 2)
-            if not np.max(np.abs(norms - 1.0)) <= S3_TOL:
+        step, top = _block_rings(self.planes[0, 0].nbytes), np.zeros(2)
+        for i0 in range(0, self.n_rings, step):
+            mod = np.abs(self.planes[:, i0:i0 + step])
+            top = np.maximum(top, np.max(mod, axis=(1, 2)))
+            if not np.max(np.abs(mod[0] ** 2 + mod[1] ** 2 - 1.0)) <= S3_TOL:
                 raise DomainError("ring samples must lie on S^3")
+        # the Hopf chart of hopf_ratio: max|b| <= max|a| over the ladder
+        self._b_over_a = bool(top[1] <= top[0])
 
     @property
     def rings(self) -> np.ndarray:
@@ -218,14 +227,13 @@ def _alpha_rows(out: np.ndarray, ca: np.ndarray, cb: np.ndarray,
 def derived_fields(v: TunnelMapSample) -> _Derived:
     """v*alpha along d_theta and d_u on every ring, chi on sigma; cached.
 
-    One pass over ring blocks: d/du, the conjugates and the products live
-    only per block, and the fields are written into their outputs.
+    One pass over ring blocks: d/dtheta, d/du, the conjugates and the
+    products live only per block, and the fields go into their outputs.
     """
     if v._derived is not None:
         return v._derived
     a, b = v.planes
     r, m = a.shape
-    dth_a, dth_b = sp.theta_derivative(v.planes)
     x = v.planes.view(float)                   # (2, R, 2M)
     alpha_t = np.empty((r, m))
     alpha_u = np.empty((r, m))
@@ -237,26 +245,25 @@ def derived_fields(v: TunnelMapSample) -> _Derived:
     for i0 in range(0, r, step):
         i1 = min(i0 + step, r)
         n = i1 - i0
+        dth_a, dth_b = sp.theta_derivative(v.planes[:, i0:i1])
+        if i0 == 0:
+            # F-coefficient against the contact frame (-conj w, conj z)
+            chi_sigma = 0.0 + (-b[0]) * dth_a[0] + a[0] * dth_b[0]
         v.ladder.d_u_rows(du[0, :n], x[0], i0, i1)
         v.ladder.d_u_rows(du[1, :n], x[1], i0, i1)
         du_a, du_b = du[:, :n].view(complex)
         ca = np.conj(a[i0:i1], out=conj[0, :n])
         cb = np.conj(b[i0:i1], out=conj[1, :n])
-        _alpha_rows(alpha_t[i0:i1], ca, cb, dth_a[i0:i1], dth_b[i0:i1],
-                    ta[:n], tb[:n])
+        _alpha_rows(alpha_t[i0:i1], ca, cb, dth_a, dth_b, ta[:n], tb[:n])
         _alpha_rows(alpha_u[i0:i1], ca, cb, du_a, du_b, ta[:n], tb[:n])
-    # F-coefficient against the contact frame (-conj w, conj z) pointwise
-    chi_sigma = 0.0 + (-b[0]) * dth_a[0] + a[0] * dth_b[0]
     v._derived = _Derived(alpha_t, alpha_u, chi_sigma)
     return v._derived
 
 
-def hopf_ratio(v: TunnelMapSample) -> np.ndarray:
-    """Affine coordinate of the Hopf projection in the dominant chart."""
-    a, b = v.planes
-    if np.max(np.abs(b)) <= np.max(np.abs(a)):
-        return b / a
-    return a / b
+def hopf_ratio(v: TunnelMapSample, rings=slice(None)) -> np.ndarray:
+    """Affine Hopf coordinate on the given rings, in the ladder's chart."""
+    a, b = v.planes[:, rings]
+    return b / a if v._b_over_a else a / b
 
 
 # ---------------------------------------------------------------------------
@@ -483,18 +490,30 @@ def check_conjugate(pair: ConjugatePair) -> ConjugacyReport:
     if vp.m != vm.m or not np.array_equal(vp.ladder.u, vm.ladder.u):
         raise DomainError("conjugate pair samples lie on different grids")
 
-    (dp, hp), (dm, hm) = both(
-        lambda v: (derived_fields(v), hopf_ratio(v)), vp, vm)
-    # omega_+ - omega_- = d(alpha_+ - alpha_-), one ring block at a time
-    d_t = dp.alpha_t - dm.alpha_t
+    dp, dm = derived_fields(vp), derived_fields(vm)
     step = _block_rings(16 * vp.m)
-    omega_res = 0.0
-    for i0 in range(0, vp.n_rings, step):
-        i1 = min(i0 + step, vp.n_rings)
-        du = np.empty((i1 - i0, vp.m))
-        vp.ladder.d_u_rows(du, d_t, i0, i1)
-        du -= sp.theta_derivative(dp.alpha_u[i0:i1] - dm.alpha_u[i0:i1])
-        omega_res = float(np.maximum(omega_res, np.max(np.abs(du))))
+
+    def sweep(rings):
+        # omega_+ - omega_- = d(alpha_+ - alpha_-) and the base distance,
+        # one ring block at a time; np.maximum keeps a NaN of either operand
+        omega = base = 0.0
+        for i0 in range(*rings, step):
+            i1 = min(i0 + step, rings[1])
+            j0, j1 = vp.ladder.reads(i0, i1)
+            du = np.empty((i1 - i0, vp.m))
+            vp.ladder.d_u_rows(du, dp.alpha_t[j0:j1] - dm.alpha_t[j0:j1],
+                               i0, i1, j0)
+            du -= sp.theta_derivative(dp.alpha_u[i0:i1] - dm.alpha_u[i0:i1])
+            omega = np.maximum(omega, np.max(np.abs(du)))
+            hp, hm = (hopf_ratio(v, slice(i0, i1)) for v in (vp, vm))
+            base = np.maximum(base, np.max(np.abs(hp - hm)
+                                           / (1.0 + np.abs(hp) ** 2)))
+        return omega, base
+
+    # the plus half sweeps the inner rings, the pooled thread the outer ones
+    mid = vp.n_rings // 2
+    halves = both(sweep, (0, mid), (mid, vp.n_rings))
+    omega_res, base = np.maximum(*halves).tolist()
 
     lam_sigma = -(dp.alpha_u[0] + dm.alpha_u[0])
     lambda_res = float(np.max(np.abs(lam_sigma)))
@@ -503,10 +522,8 @@ def check_conjugate(pair: ConjugatePair) -> ConjugacyReport:
     tm = puncture_parameters(vm)
     marker = float(np.max(np.abs(np.exp(2j * np.pi * (tp + tm)) - 1.0)))
 
-    base = float(np.max(np.abs(hp - hm) / (1.0 + np.abs(hp) ** 2)))
-
-    cp = sp.coeffs(hp[-1])
-    cm = sp.coeffs(hm[-1])
+    cp = sp.coeffs(hopf_ratio(vp, -1))
+    cm = sp.coeffs(hopf_ratio(vm, -1))
     cp[0] = 0.0
     cm[0] = 0.0
     ip, im = int(np.argmax(np.abs(cp))), int(np.argmax(np.abs(cm)))

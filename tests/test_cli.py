@@ -349,6 +349,32 @@ def test_nan_input_is_an_input_error(tmp_path, case):
     assert proc.stderr.startswith("input error:")
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "dev-full"])
+@pytest.mark.parametrize("command", ["degree1", "degree-d", "compactify",
+                                     "certificate"])
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, report64,
+                                          command, target):
+    # open fails in a missing directory; on /dev/full the write does
+    if target == "dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    bundle = tmp_path / "r.json"
+    bundle.write_text(json.dumps(report64))
+    argv = {"degree1": ["degree1", "--c", "0.3", "--resolution", "64"],
+            "degree-d": ["degree-d", "--curve",
+                         _curve_file(tmp_path, [0.0, 0.866], 0.5),
+                         "--resolution", "64"],
+            "compactify": ["compactify", "--steps", "2", "--resolution",
+                           "64"],
+            "certificate": ["certificate", "--bundle", str(bundle)]}[command]
+    out = (str(tmp_path / "missing" / "x.json") if target == "missing-dir"
+           else "/dev/full")
+    capsys.readouterr()
+    assert run(argv + ["--out", out]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {out!r}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # --config
 

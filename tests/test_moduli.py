@@ -173,6 +173,42 @@ def test_verify_recomputes_det_omega_sign_from_charts(chart):
     assert Mo.verify_folded_holomorphic(b).tau_sign_violation > 0.0
 
 
+@pytest.mark.parametrize("tamper", ["none", "outside", "equator", "nan"])
+@pytest.mark.parametrize("chart,side", [("chart_plus", 1),
+                                        ("chart_minus", -1)])
+def test_sign_violation_blocks_match_whole_chart_formula(chart, side, tamper):
+    # M = 1024: the 40 rings are swept in blocks of 16, 16 and 8; one sample
+    # of the last block is put outside the ball, on the equator, or NaN
+    grid = getattr(Mo.degree1_family(Mo.ModuliParam(0.45, 1.0), 1024, 40),
+                   chart)
+    if tamper != "none":
+        grid.planes[:, 35, 5] = {"outside": [1.5, 0.5], "equator": [1.0, 0.0],
+                                 "nan": [np.nan, 0.0]}[tamper]
+    tau = Mo.det_omega_closed_form(side * Mo._x0(grid.planes))
+    whole = float(np.maximum(-np.min(side * tau), 0.0))
+    got = grid.sign_violation(side)
+    assert np.float64(got).tobytes() == np.float64(whole).tobytes()
+    assert (got > 0.0) == (tamper == "outside")
+
+
+def test_build_and_verify_heap_stays_within_one_sample():
+    # every ladder and chart temporary is one ring block: at M = 2048 the
+    # heap peak of a build and its verification sits less than one
+    # sample's planes (13.2 MB) above the bundle they leave
+    import tracemalloc
+    param = Mo.ModuliParam(0.3 + 0.2j, 0.6 + 0.8j)
+    Mo.verify_folded_holomorphic(Mo.degree1_family(param, 64))
+    tracemalloc.start()
+    try:
+        bundle = Mo.degree1_family(param, 2048)
+        live = tracemalloc.get_traced_memory()[0]
+        Mo.verify_folded_holomorphic(bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - live < bundle.pair.v_plus.planes.nbytes, (peak, live)
+
+
 def test_verification_report_keeps_nan():
     # Python's max drops a NaN that follows a float; the report must not
     nan_conj = T.ConjugacyReport(1e-12, np.nan, 0.0, 0.0, 0.0)

@@ -256,16 +256,24 @@ def derived_reference(v):
     return alpha_t, alpha_u, chi_t, chi_u
 
 
+def short_ladder(v, n_rings):
+    """v on its first n_rings rings."""
+    if n_rings == v.n_rings:
+        return v
+    return T.TunnelMapSample(v.rho, T.Ladder(v.ladder.u[:n_rings]),
+                             v.planes[:, :n_rings], v.x, v.degree)
+
+
 @pytest.mark.parametrize("m,n_rings", [(64, 201), (256, 201), (2048, 201),
-                                       (2048, 5), (256, 70)],
-                         ids=["64", "256", "2048", "2048-short", "256-70"])
+                                       (2048, 5), (256, 70), (2048, 3)],
+                         ids=["64", "256", "2048", "2048-short", "256-70",
+                              "2048-3"])
 def test_derived_fields_match_whole_ladder_formulas(m, n_rings):
-    # 201 rings are shorter than one block at M = 64; 5 rings at M = 2048
-    # are fewer than one block of 8; 70 rings at M = 256 end in a block of 6
+    # 201 rings are shorter than one block at M = 64; at M = 2048 they are
+    # 25 blocks of 8 and a 1-ring tail, and 5 or 3 rings are fewer than
+    # one block; 70 rings at M = 256 end in a block of 6
     vp, _, _ = family_samples(0.45 + 0.3j, np.exp(0.7j), M=m)
-    if n_rings < vp.n_rings:
-        vp = T.TunnelMapSample(vp.rho, T.Ladder(vp.ladder.u[:n_rings]),
-                               vp.planes[:, :n_rings], vp.x, vp.degree)
+    vp = short_ladder(vp, n_rings)
     alpha_t, alpha_u, chi_t, _ = derived_reference(vp)
     d = T.derived_fields(vp)
     assert d.alpha_t.tobytes() == alpha_t.tobytes()
@@ -606,6 +614,99 @@ def test_omega_residual_matches_per_side_oracle(make):
                                  - omega_density(pair.v_minus))))
     assert abs(omega - oracle) <= 1e-13
     assert (omega > 1e-4) == (make is _ring_tampered_pair)
+
+
+def hopf_reference(v):
+    """The Hopf ratio by its whole-ladder formula."""
+    a, b = v.planes
+    return b / a if np.max(np.abs(b)) <= np.max(np.abs(a)) else a / b
+
+
+def sweep_reference(pair):
+    """The omega residual and the base distance of check_conjugate by
+    whole-ladder formulas: d of the plus-minus difference of the contact
+    pullbacks, and the Fubini-Study distance of the Hopf ratios."""
+    dp = T.derived_fields(pair.v_plus)
+    dm = T.derived_fields(pair.v_minus)
+    omega = (d_u_direct(dp.alpha_t - dm.alpha_t, pair.v_plus.ladder.u)
+             - sp.theta_derivative(dp.alpha_u - dm.alpha_u))
+    hp, hm = hopf_reference(pair.v_plus), hopf_reference(pair.v_minus)
+    return (float(np.max(np.abs(omega))),
+            float(np.max(np.abs(hp - hm) / (1.0 + np.abs(hp) ** 2))))
+
+
+@pytest.mark.parametrize("m,n_rings", [(64, 201), (2048, 201), (64, 3)],
+                         ids=["64", "2048", "64-3"])
+@pytest.mark.parametrize("tampered", [False, True], ids=["family", "ring"])
+def test_block_passes_match_whole_ladder_formulas(m, n_rings, tampered):
+    # each side thread sweeps half the rings: one block each at M = 64,
+    # 12 blocks of 8 and a tail of 4 or 5 at M = 2048
+    vp, vm, _ = family_samples(0.45 + 0.3j, np.exp(0.7j), M=m)
+    vp, vm = short_ladder(vp, n_rings), short_ladder(vm, n_rings)
+    if tampered:
+        # a turn of one ring of v_-, as in _ring_tampered_pair
+        planes = vm.planes.copy()
+        planes[:, min(4, n_rings - 1)] *= np.exp(0.01j * np.sin(sp.angles(m)))
+        vm = T.TunnelMapSample(vm.rho, vm.ladder, planes, vm.x, vm.degree)
+    # v_- with its two components swapped takes the other Hopf chart
+    swapped = T.TunnelMapSample(vm.rho, vm.ladder, vm.planes[::-1], vm.x,
+                                vm.degree)
+    for v in (vp, vm, swapped):
+        assert T.hopf_ratio(v).tobytes() == hopf_reference(v).tobytes()
+    pair = T.ConjugatePair(vp, vm)
+    rep = T.check_conjugate(pair)
+    assert (rep.omega_residual, rep.base_distance) == sweep_reference(pair)
+    assert (rep.omega_residual > 1e-6) == tampered, rep
+
+
+@pytest.mark.parametrize("m", [64, 2048])
+@pytest.mark.parametrize("lead", [1, -1, 0],
+                         ids=["b-on-ring-3", "a-on-ring-3", "tie"])
+def test_hopf_chart_hinges_on_one_ring(m, lead):
+    # |a| leads on every ring but ring 3, where |b| leads by more (or the
+    # other way round), so the middle of one block sets the chart; b = i a
+    # ties with a and takes b / a
+    phi = np.full(201, np.pi / 4 - lead * 1e-3)
+    phi[3] = np.pi / 4 + lead * 2e-3
+    b_rows = np.sin(phi) if lead else 1j * np.cos(phi)
+    planes = (np.stack([np.cos(phi), b_rows])[:, :, None]
+              * np.exp(1j * sp.angles(m)))
+    v = T.TunnelMapSample(1.0, T.default_ladder(), planes,
+                          CharacteristicParam(1.0), 1)
+    a, b = v.planes
+    expected = b / a if lead <= 0 else a / b
+    assert T.hopf_ratio(v).tobytes() == expected.tobytes()
+    assert T.hopf_ratio(v).tobytes() == hopf_reference(v).tobytes()
+
+
+# the NaN quotient of the Hopf ratio warns on whichever thread sweeps it
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("where", ["alpha_t", "planes"])
+@pytest.mark.parametrize("ring", [3, 190], ids=["calling", "pooled"])
+def test_nan_ring_fails_conjugacy_in_either_half(where, ring):
+    # rings [0, 100) are swept on the calling thread, [100, 201) on the
+    # pooled one; a NaN in either half survives the join of the halves
+    from foldedmaps import moduli as Mo
+    bundle = Mo.degree1_family(Mo.ModuliParam(0.4 + 0.1j, np.exp(0.2j)),
+                               64, 24)
+    clean = T.check_conjugate(bundle.pair)
+    vm = bundle.pair.v_minus
+    planes = vm.planes.copy()
+    nan_vm = T.TunnelMapSample(vm.rho, vm.ladder, planes, vm.x, vm.degree)
+    # NaN after the S^3 check: in a cached contact pullback, or in the
+    # samples after the derived fields and the Hopf chart are cached
+    d = T.derived_fields(nan_vm)
+    (d.alpha_t if where == "alpha_t" else planes)[..., ring, 5] = np.nan
+    bundle.pair = T.ConjugatePair(bundle.pair.v_plus, nan_vm)
+    rep = Mo.verify_folded_holomorphic(bundle)
+    conj = rep.conjugacy
+    if where == "alpha_t":
+        assert np.isnan(conj.omega_residual)
+        assert conj.base_distance == clean.base_distance
+    else:
+        assert conj.omega_residual == clean.omega_residual
+        assert np.isnan(conj.base_distance)
+    assert not rep.passed()
 
 
 def test_check_conjugate_rejects_samples_on_different_ladders():
