@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import os
 import sys
 
 import numpy as np
@@ -70,14 +71,18 @@ def format_json(obj, indent: int = 0) -> str:
 
 
 def _write(text: str, path: str) -> None:
-    if path == "-":
-        sys.stdout.write(text + "\n")
-    else:
-        try:
+    try:
+        if path == "-":
+            sys.stdout.write(text + "\n")
+            sys.stdout.flush()
+        else:
             with open(path, "w") as fh:
                 fh.write(text + "\n")
-        except OSError as exc:
-            raise InputError(f"cannot write {path!r}: {exc}") from exc
+    except OSError as exc:
+        if path == "-":
+            # the exit flush then drops the text still buffered, silently
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise InputError(f"cannot write {path!r}: {exc}") from exc
 
 
 def parse_complex(s: str) -> complex:

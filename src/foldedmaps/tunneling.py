@@ -31,8 +31,9 @@ S3_TOL = 1e-9                 # max ||v|^2 - 1|; far above round-off
 PARTNER_RESIDUAL_TOL = 1e-6   # partner input; resolved residuals ~1e-10
 PARTNER_PERIOD_TOL = 1e-8     # partner input; resolved periods ~1e-14
 FOLD_DATA_NOISE_RTOL = 1e-9   # relative size of fold d/du stencil noise
-OMEGA_AITKEN_TINY = 1e-15     # round-off of O(1) ring circulations
-PUNCTURE_AITKEN_TINY = 1e-14  # round-off of the unit puncture phases
+LADDER_GRADING = 7.0          # default ring spacing grows as e^{u/7}
+PUNCTURE_FIT_RINGS = 20       # outer rings of the puncture fit in s = e^{-u}
+PUNCTURE_FIT_DEGREE = 6
 HOPF_MODE_FLOOR = 1e-14       # leading Hopf mode too small to have a phase
 HOPF_MODE_MISMATCH_FLOOR = 1e-12  # a larger unmatched mode is a mismatch
 DELTA_MAX = 12.0              # asymptotic_energy weights lie in (0, DELTA_MAX]
@@ -43,13 +44,16 @@ DELTA_MAX = 12.0              # asymptotic_energy weights lie in (0, DELTA_MAX]
 
 
 class Ladder:
-    """The rings u of a ladder |z| = rho e^u and their d/du stencil.
+    """The rings u of a ladder |z| = rho e^u, their d/du stencil and
+    puncture weights.
 
     `u` is a read-only copy of the rings: finite, strictly increasing and
     at least 3.  `weights[i]` are the read-only Fornberg weights (Math.
     Comp. 51 (1988) 699-706) of d/du at ring i over the WIDTH rings
-    centred on it, shifted inward at the two ends.  One ladder is built
-    per construction and shared by its samples.
+    centred on it, shifted inward at the two ends.  The read-only
+    `puncture` weights evaluate at s = e^{-u} = 0 the least-squares
+    polynomial of degree min(6, n - 1) in s over the outer n = min(20, R)
+    rings.  One ladder is built per construction and shared by its samples.
     """
 
     WIDTH = 9       # eighth order on a uniform ladder
@@ -65,7 +69,12 @@ class Ladder:
         lo = np.clip(np.arange(r) - width // 2, 0, r - width)
         self.u, self._lo = u, lo       # _lo: first ring of each window
         self.weights = sp.fd_weights(u[lo[:, None] + np.arange(width)], u, 1)
-        u.flags.writeable = self.weights.flags.writeable = False
+        n = min(PUNCTURE_FIT_RINGS, r)
+        s = np.exp(u[-n] - u[-n:])         # s / s_{R-n} for s = e^{-u}
+        powers = np.arange(min(PUNCTURE_FIT_DEGREE, n - 1) + 1)
+        self.puncture = np.linalg.pinv(s[:, None] ** powers)[0]
+        for a in (u, self.weights, self.puncture):
+            a.flags.writeable = False
 
     def reads(self, i0: int, i1: int) -> tuple[int, int]:
         """The rows [j0, j1) of ladder data that rows [i0, i1) of d/du read."""
@@ -111,10 +120,19 @@ class Ladder:
         self.d_u_rows(out, x, 0, r)
         return out.view(values.dtype).reshape(values.shape)
 
+    def at_puncture(self, values: np.ndarray) -> np.ndarray:
+        """The s = 0 limit of data whose last rows lie on the outer rings."""
+        w = self.puncture
+        return np.einsum("i,i...->...", w, values[-len(w):])
+
 
 def default_ladder() -> Ladder:
-    """The ladder u = 0, 0.04, ..., 8 (201 rings) of every construction."""
-    return Ladder(np.arange(0.0, 8.02, 0.04))
+    """The 121 rings u = -L ln(1 - xi / L) on [0, 8] of every construction,
+    L = 7, for xi uniform with a step of at most 0.04: the spacing is 0.04
+    at the fold and grows as e^{u/L} to 0.123 at u = 8."""
+    xi_max = -LADDER_GRADING * np.expm1(-8.0 / LADDER_GRADING)
+    xi = np.linspace(0.0, xi_max, int(np.ceil(xi_max / 0.04)) + 1)
+    return Ladder(-LADDER_GRADING * np.log1p(-xi / LADDER_GRADING))
 
 
 # ---------------------------------------------------------------------------
@@ -370,25 +388,15 @@ def asymptotic_energy(v: TunnelMapSample, delta: float) -> EnergyProfile:
     return EnergyProfile(v.radii(), e_r, slope, delta, divergent)
 
 
-def _aitken(x1, x2, x3, tiny: float):
-    """One Aitken step x3 - (x3 - x2)^2 / D, D = (x3 - x2) - (x2 - x1).
-
-    Elementwise on arrays; x3 itself where |D| < tiny.
-    """
-    denom = (x3 - x2) - (x2 - x1)
-    small = np.abs(denom) < tiny
-    return np.where(small, x3, x3 - (x3 - x2) ** 2 / np.where(small, 1, denom))
-
-
 def tunneling_omega_energy(v: TunnelMapSample) -> float:
     """Integral of v*omega over the punctured domain via the Stokes route.
 
     omega restricted to the fold is d(alpha), so the energy is the
     difference of boundary circulations of v*alpha, with the puncture
-    circulation extrapolated geometrically from the outer rings.
+    circulation read from the ladder's polynomial fit in s = e^{-u}.
     """
     circ = TWO_PI * np.mean(derived_fields(v).alpha_t, axis=1)
-    return float(_aitken(*circ[-3:], OMEGA_AITKEN_TINY) - circ[0])
+    return float(v.ladder.at_puncture(circ - circ[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +457,14 @@ class ConjugacyReport:
 def puncture_parameters(v: TunnelMapSample, n_dirs: int = 16) -> np.ndarray:
     """Characteristic parameter of the puncture limit along n_dirs rays.
 
-    Aitken extrapolation of the first-component phase over the three
-    outermost rings; the limit lies on the closed characteristic.
+    The first-component unit phase read at s = e^{-u} = 0 from the ladder's
+    fit; the limit lies on the closed characteristic.
     """
     step = max(1, v.m // n_dirs)
     cols = np.arange(0, v.m, step)
-    zs = v.planes[0, -3:][:, cols]
+    zs = v.planes[0, -len(v.ladder.puncture):][:, cols]
     ph = zs / np.abs(zs) / v.x.m
-    return np.angle(_aitken(*ph, PUNCTURE_AITKEN_TINY)) / TWO_PI
+    return np.angle(v.ladder.at_puncture(ph)) / TWO_PI
 
 
 def fold_data(v: TunnelMapSample,

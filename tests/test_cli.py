@@ -324,13 +324,14 @@ def test_certificate_rejects_malformed_report(tmp_path, capsys, report64,
 # non-finite input
 
 
-def run_subprocess(argv, cwd):
+def run_subprocess(argv, cwd, stdout=subprocess.PIPE):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", "foldedmaps.cli"] + argv,
-                          cwd=cwd, env=env, capture_output=True, text=True)
+                          cwd=cwd, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True)
 
 
 @pytest.mark.parametrize("case", ["degree1", "degree-d"])
@@ -373,6 +374,28 @@ def test_unwritable_out_is_an_input_error(tmp_path, capsys, report64,
     err = capsys.readouterr().err
     assert err.startswith(f"input error: cannot write {out!r}")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", ["degree1", "degree-d", "compactify",
+                                     "certificate"])
+def test_unwritable_stdout_is_an_input_error(tmp_path, report64, command):
+    # a large report fails in the write, a small table in the flush; the
+    # interpreter's exit flush then must neither print nor exit 120
+    bundle = tmp_path / "r.json"
+    bundle.write_text(json.dumps(report64))
+    argv = {"degree1": ["degree1", "--c", "0.3", "--resolution", "64"],
+            "degree-d": ["degree-d", "--curve",
+                         _curve_file(tmp_path, [0.0, 0.866], 0.5),
+                         "--resolution", "64"],
+            "compactify": ["compactify", "--steps", "2", "--resolution",
+                           "64"],
+            "certificate": ["certificate", "--bundle", str(bundle)]}[command]
+    with open("/dev/full", "w") as full:
+        proc = run_subprocess(argv + ["--out", "-"], tmp_path, stdout=full)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stderr.startswith("input error: cannot write '-': ")
+    assert proc.stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

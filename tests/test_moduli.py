@@ -128,6 +128,34 @@ def test_family_energies_closed_form():
         assert abs(e["E_v_minus"] - c ** 2) < 1e-9
 
 
+def test_puncture_energies_read_d_c_squared():
+    # E_v+- = d |c|^2, read at s = e^{-u} = 0 from the ladder's polynomial
+    # fit: 40 degree-1 maps, ending at |c| = 0.95..0.99 where the puncture
+    # circulation converges slowest, and 120 curves (r0 m z^d, m c),
+    # d = 1..5, all at M = 256 and nr = 64; three-ring Aitken on the
+    # 201-ring ladder was off by up to 3.6e-11 here
+    rng = np.random.default_rng(2024)
+
+    def phase():
+        return np.exp(2j * np.pi * rng.uniform())
+
+    def v_error(bundle, target):
+        e = bundle.energies
+        return max(abs(e["E_v_plus"] - target), abs(e["E_v_minus"] - target))
+
+    worst = 0.0
+    for a in np.r_[rng.uniform(0.0, 0.99, 36), 0.95, 0.97, 0.98, 0.99]:
+        m = phase()
+        bundle = Mo.degree1_family(Mo.ModuliParam(a * phase(), m), 256, 64)
+        worst = max(worst, v_error(bundle, a ** 2))
+    for i in range(120):
+        d, a, m = i % 5 + 1, rng.uniform(0.0, 0.9), phase()
+        curve = _power_curve(d, a * phase(), m)
+        bundle = Mo.construct_degree_d(curve, m, 256, 64)
+        worst = max(worst, v_error(bundle, d * a ** 2))
+    assert worst <= 1e-13
+
+
 def test_energy_identities_across_family():
     totals, plus_pairs, minus_pairs = [], [], []
     for _ in range(5):
@@ -415,7 +443,7 @@ def test_concurrent_callers_match_one_thread():
 
 def test_concurrent_callers_match_one_thread_multi_block():
     # M = 1024: the chart passes take blocks of 16 of the 40 rings, the
-    # ladder passes blocks of 16 of the 201 rings
+    # ladder passes blocks of 16 of the 121 rings
     _check_concurrent_callers(1024, 40, 2)
 
 

@@ -14,6 +14,7 @@ from foldedmaps.sphere import CharacteristicParam
 
 RNG = np.random.default_rng(90125)
 M = 256
+R = len(T.default_ladder().u)   # rings of every construction
 
 
 def family_maps(c, m):
@@ -81,6 +82,41 @@ def test_fd_weights_batch_rows_match_1d_calls(u):
                      for w, x in zip(windows, u)])
     assert batch.tobytes() == rows.tobytes()
     assert T.Ladder(u).weights.tobytes() == rows.tobytes()
+
+
+def test_default_ladder_is_graded_toward_the_puncture():
+    # u = -7 ln(1 - xi / 7), xi uniform with a step of at most 0.04
+    u = T.default_ladder().u
+    du = np.diff(u)
+    assert len(u) == 121 and u[0] == 0.0
+    assert abs(u[-1] - 8.0) < 1e-12
+    assert 0.0395 < du[0] <= 0.04
+    assert np.all(np.diff(du) > 0)
+
+
+@pytest.mark.parametrize("u", [T.default_ladder().u, [0.0, 1.0, 2.5]],
+                         ids=["default", "3-rings"])
+def test_puncture_weights_reproduce_polynomials_in_s(u):
+    # the fit is exact on polynomials of degree <= min(6, n - 1) in s, so
+    # its value at s = 0 is their constant term, for any data shape
+    ladder = T.Ladder(u)
+    n = len(ladder.puncture)
+    assert n == min(20, len(u)) and not ladder.puncture.flags.writeable
+    x = np.exp(ladder.u[-n] - ladder.u)          # s / s_{R-n}
+    shape = (min(7, n), 3)
+    coef = RNG.normal(size=shape) + 1j * RNG.normal(size=shape)
+    vals = np.polynomial.polynomial.polyval(x, coef).T     # (R, 3)
+    assert np.max(np.abs(ladder.at_puncture(vals) - coef[0])) < 1e-12
+    real = ladder.at_puncture(vals[:, 0].real)
+    assert real.dtype == float and abs(real - coef[0, 0].real) < 1e-12
+
+
+@pytest.mark.parametrize("c", [0.1, 0.5, 0.9, 0.99])
+def test_graded_ladder_keeps_the_f_residual_small(c):
+    # the spacing grows as e^{u/7}; a coarser grading lets the stencil
+    # error of the outer rings reach the F residual
+    for v in family_samples(c * np.exp(0.7j), np.exp(0.3j), M=2048)[:2]:
+        assert T.residual_H(v).f_residual <= 1e-10
 
 
 def test_fd_weights_central_difference():
@@ -264,14 +300,15 @@ def short_ladder(v, n_rings):
                              v.planes[:, :n_rings], v.x, v.degree)
 
 
-@pytest.mark.parametrize("m,n_rings", [(64, 201), (256, 201), (2048, 201),
+@pytest.mark.parametrize("m,n_rings", [(64, R), (256, R), (2048, R),
                                        (2048, 5), (256, 70), (2048, 3)],
                          ids=["64", "256", "2048", "2048-short", "256-70",
                               "2048-3"])
 def test_derived_fields_match_whole_ladder_formulas(m, n_rings):
-    # 201 rings are shorter than one block at M = 64; at M = 2048 they are
-    # 25 blocks of 8 and a 1-ring tail, and 5 or 3 rings are fewer than
-    # one block; 70 rings at M = 256 end in a block of 6
+    # the 121 rings are shorter than one block at M = 64, a block of 64
+    # and one of 57 at M = 256 and 15 blocks of 8 and a 1-ring tail at
+    # M = 2048, and 5 or 3 rings are fewer than one block; 70 rings at
+    # M = 256 end in a block of 6
     vp, _, _ = family_samples(0.45 + 0.3j, np.exp(0.7j), M=m)
     vp = short_ladder(vp, n_rings)
     alpha_t, alpha_u, chi_t, _ = derived_reference(vp)
@@ -427,6 +464,8 @@ def test_sample_ladders_are_read_only_and_derived_fields_cached():
         v.ladder.u[1] = 0.5
     with pytest.raises(ValueError):
         v.ladder.weights[1, 0] = 0.5
+    with pytest.raises(ValueError):
+        v.ladder.puncture[0] = 0.5
     assert planes.flags.writeable and u.flags.writeable
     assert T.derived_fields(v) is T.derived_fields(v)
 
@@ -635,12 +674,12 @@ def sweep_reference(pair):
             float(np.max(np.abs(hp - hm) / (1.0 + np.abs(hp) ** 2))))
 
 
-@pytest.mark.parametrize("m,n_rings", [(64, 201), (2048, 201), (64, 3)],
+@pytest.mark.parametrize("m,n_rings", [(64, R), (2048, R), (64, 3)],
                          ids=["64", "2048", "64-3"])
 @pytest.mark.parametrize("tampered", [False, True], ids=["family", "ring"])
 def test_block_passes_match_whole_ladder_formulas(m, n_rings, tampered):
     # each side thread sweeps half the rings: one block each at M = 64,
-    # 12 blocks of 8 and a tail of 4 or 5 at M = 2048
+    # 7 blocks of 8 and a tail of 4 or 5 at M = 2048
     vp, vm, _ = family_samples(0.45 + 0.3j, np.exp(0.7j), M=m)
     vp, vm = short_ladder(vp, n_rings), short_ladder(vm, n_rings)
     if tampered:
@@ -666,7 +705,7 @@ def test_hopf_chart_hinges_on_one_ring(m, lead):
     # |a| leads on every ring but ring 3, where |b| leads by more (or the
     # other way round), so the middle of one block sets the chart; b = i a
     # ties with a and takes b / a
-    phi = np.full(201, np.pi / 4 - lead * 1e-3)
+    phi = np.full(R, np.pi / 4 - lead * 1e-3)
     phi[3] = np.pi / 4 + lead * 2e-3
     b_rows = np.sin(phi) if lead else 1j * np.cos(phi)
     planes = (np.stack([np.cos(phi), b_rows])[:, :, None]
@@ -682,10 +721,10 @@ def test_hopf_chart_hinges_on_one_ring(m, lead):
 # the NaN quotient of the Hopf ratio warns on whichever thread sweeps it
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("where", ["alpha_t", "planes"])
-@pytest.mark.parametrize("ring", [3, 190], ids=["calling", "pooled"])
+@pytest.mark.parametrize("ring", [3, R - 11], ids=["calling", "pooled"])
 def test_nan_ring_fails_conjugacy_in_either_half(where, ring):
-    # rings [0, 100) are swept on the calling thread, [100, 201) on the
-    # pooled one; a NaN in either half survives the join of the halves
+    # rings [0, R // 2) are swept on the calling thread, [R // 2, R) on
+    # the pooled one; a NaN in either half survives the join of the halves
     from foldedmaps import moduli as Mo
     bundle = Mo.degree1_family(Mo.ModuliParam(0.4 + 0.1j, np.exp(0.2j)),
                                64, 24)
@@ -859,15 +898,6 @@ def test_lambda_vanishes_after_partner():
     vm = T.conjugate_partner(vp, x)
     rep = T.check_conjugate(T.ConjugatePair(vp, vm))
     assert rep.lambda_residual < 1e-8
-
-
-def test_aitken_step():
-    # a geometric sequence x_n = 2 + 0.5^n reaches its limit in one step;
-    # a denominator below the cutoff keeps the last term
-    x = 2.0 + 0.5 ** np.arange(3)
-    assert T._aitken(*x, 1e-15) == 2.0
-    assert T._aitken(1.0, 1.0 + 1e-16, 1.0 + 2e-16, 1e-15) == 1.0 + 2e-16
-    assert np.array_equal(T._aitken(x, x, x, 1e-14), x)
 
 
 def test_tunneling_energies_agree():
