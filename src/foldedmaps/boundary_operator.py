@@ -374,7 +374,9 @@ def maslov_index(loop: TotallyRealLoop) -> int:
     """Winding number of the squared determinant of the plane frames.
 
     The squared unit phase of the determinants is wound, not their
-    square, which overflows for frames of large but finite entries.
+    square, which overflows for frames of large but finite entries.  A
+    phase with energy in the Nyquist band steps by up to pi between
+    samples, so its winding is aliased: that raises ResolutionError.
     """
     dets = loop.dets()
     size = np.abs(dets)
@@ -382,7 +384,9 @@ def maslov_index(loop: TotallyRealLoop) -> int:
         raise DomainError(
             "loop is not totally real: frame determinant vanishes "
             f"(min {np.min(size):.3e})")
-    return sp.phase_winding((dets / size) ** 2)
+    phase = (dets / size) ** 2
+    sp.check_resolution(phase, "Maslov loop phase")
+    return sp.phase_winding(phase)
 
 
 def fredholm_index(mu_plus: int, mu_minus: int, chi: int) -> int:

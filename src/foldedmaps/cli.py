@@ -29,9 +29,6 @@ EXIT_TIER = 3
 # |m| = 1 check on the user's m, looser than moduli.UNIT_MODULUS_TOL
 # because the CLI normalizes m to unit modulus right after it
 M_MODULUS_TOL = 1e-9
-# radial nodes of each compactify chart; grid.radial_nodes is the degree1
-# and degree-d setting
-COMPACTIFY_RADIAL_NODES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +48,9 @@ def format_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(type(v) is float for v in obj):
-            # sample arrays: one %-format, the same bytes as the path below
+        if [*map(type, obj)].count(float) == len(obj):
+            # sample arrays: one %-format, the same bytes as the path below;
+            # the type test runs in C, with no per-element Python step
             return "[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]"
         flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
         if flat:
@@ -155,7 +153,7 @@ def cmd_compactify(args) -> int:
         raise InputError("need at least 2 steps")
     rows = moduli.compactification_sample(
         np.linspace(0.0, 0.99, args.steps), m,
-        _validate_resolution(args.resolution), COMPACTIFY_RADIAL_NODES)
+        _validate_resolution(args.resolution), CONFIG.grid.radial_nodes)
     lines = ["c_abs,E_uplus,E_uminus,E_total,limit_label"]
     for r in rows:
         lines.append('%.17g,%.17g,%.17g,%.17g,"%s"' % (

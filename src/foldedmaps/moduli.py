@@ -28,7 +28,8 @@ from .sphere import (CharacteristicParam, FoldPoint, ProjectivePoint,
                      hopf_project)
 from .tunneling import (ConjugacyReport, ConjugatePair, Ladder,
                         TunnelMapSample, check_conjugate, default_ladder,
-                        fold_data, sample_tunnel_map, tunneling_omega_energy)
+                        fold_data, ladder_planes, sample_tunnel_map,
+                        tunneling_omega_energy)
 
 TWO_PI = 2.0 * np.pi
 # tag of the reports written by bundle_report and the CLI
@@ -613,10 +614,13 @@ def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
 
     def tunnel_minus():
         # tunneling map v_- = projection of f w on the ladder of v_+
-        radii_v = vp.radii()
-        fw = curve.eval(radii_v[:, None] * np.exp(1j * th)[None, :])
-        np.multiply(f_log.multiplier_samples(radii_v), fw, out=fw)
-        vm = TunnelMapSample(rho, vp.ladder, _unit(fw), x, -d)
+        def unit_fw(r, z):
+            fw = curve.eval(z)
+            np.multiply(f_log.multiplier_samples(r), fw, out=fw)
+            return _unit(fw)
+
+        planes = ladder_planes(unit_fw, vp.radii(), m_res)
+        vm = TunnelMapSample(rho, vp.ladder, planes, x, -d)
         return vm, tunneling_omega_energy(vm)
 
     # the first task of a phase runs here and its error wins; charts: the

@@ -206,15 +206,30 @@ class TunnelMapSample:
         return self.planes[:, 0]
 
 
+def ladder_planes(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                  radii: np.ndarray, m: int) -> np.ndarray:
+    """(2, R, M) planes of fn(r, z) over the rings |z| = radii, written one
+    `_block_rings` block of rings r (n,) and their points z (n, M) at a
+    time, so fn's temporaries stay block-sized.  fn must act row by row.
+    """
+    ph = np.exp(1j * sp.angles(m))
+    planes = np.empty((2, len(radii), m), complex)
+    step = _block_rings(16 * m)
+    for i0 in range(0, len(radii), step):
+        r = radii[i0:i0 + step]
+        planes[:, i0:i0 + step] = fn(r, r[:, None] * ph)
+    return planes
+
+
 def sample_tunnel_map(fn: Callable[[np.ndarray], np.ndarray], rho: float,
                       m: int, x: CharacteristicParam, degree: int,
                       ladder: Optional[Ladder] = None) -> TunnelMapSample:
-    """Sample fn(z) -> unit C^2 values (2, ...) over a ring ladder."""
+    """Sample the pointwise fn(z) -> unit C^2 values (2, ...) over a ring
+    ladder, in blocks of rings (`ladder_planes`)."""
     if ladder is None:
         ladder = default_ladder()
-    th = sp.angles(m)
-    z = rho * np.exp(ladder.u)[:, None] * np.exp(1j * th)[None, :]
-    return TunnelMapSample(rho, ladder, fn(z), x, degree)
+    planes = ladder_planes(lambda r, z: fn(z), rho * np.exp(ladder.u), m)
+    return TunnelMapSample(rho, ladder, planes, x, degree)
 
 
 @dataclass

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from foldedmaps import cli, moduli
+from foldedmaps.config import GridDefaults
 from foldedmaps.errors import InputError
 
 
@@ -73,6 +74,18 @@ def test_float_list_fast_path_is_byte_identical():
         assert cli.format_json(obj) == cli.format_json(_numpy_floats(obj))
     assert cli.format_json(floats) == \
         "[" + ", ".join(format(v, ".17g") for v in floats) + "]"
+
+
+@pytest.mark.parametrize("odd, text", [
+    (True, "true"), (False, "false"), (None, "null"),
+    # %.17g would print it as 1.152921504606847e+18
+    (2 ** 60, "1152921504606846976")])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_float_list_with_one_non_float_takes_the_general_path(odd, text, at):
+    obj = [0.5, -0.0, 1e22, 0.25]
+    obj.insert(at, odd)
+    expected = [text if v is odd else format(v, ".17g") for v in obj]
+    assert cli.format_json(obj) == "[" + ", ".join(expected) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +198,8 @@ def test_compactify_table(tmp_path):
     assert np.std(totals) < 1e-6
 
 
-def test_compactify_keeps_its_own_radial_nodes(tmp_path, monkeypatch):
-    # grid.radial_nodes is the degree1 and degree-d setting only
+def test_compactify_follows_the_grid_setting(tmp_path, monkeypatch):
+    # grid.radial_nodes sets the chart grids of every command
     seen = []
     sample = moduli.compactification_sample
     monkeypatch.setattr(moduli, "compactification_sample",
@@ -199,8 +212,8 @@ def test_compactify_keeps_its_own_radial_nodes(tmp_path, monkeypatch):
         outs.append(tmp_path / f"t{len(outs)}.csv")
         assert run(config + ["compactify", "--steps", "2", "--resolution",
                              "64", "--out", str(outs[-1])]) == cli.EXIT_PASS
-    assert seen == [cli.COMPACTIFY_RADIAL_NODES] * 2
-    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert seen == [GridDefaults().radial_nodes, 8]
+    assert outs[0].read_bytes() != outs[1].read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +316,55 @@ def test_certificate_of_large_loop_directions(tmp_path, report64):
                     "--out", str(out)]) == cli.EXIT_PASS
         certs.append(out.read_text())
     assert certs[0] == certs[1]
+
+
+# a degree-16 curve: the squared phase of its loops winds 2d = 32 times,
+# the Nyquist mode of M = 64, where it steps by exactly pi per sample
+CURVE16 = {"p": [[0, 0]] * 16 + [[1, 0]], "q": [[0.6, 0]], "m": [1, 0]}
+CURVE3 = {"p": [[0, 0]] * 3 + [[0.9539392014169457, 0]], "q": [[0.3, 0]],
+          "m": [1, 0]}
+
+
+def test_aliased_loop_winding_is_a_resolution_failure(tmp_path, capsys,
+                                                      report64):
+    curve = tmp_path / "curve16.json"
+    curve.write_text(json.dumps(CURVE16))
+    out = tmp_path / "d16.json"
+    assert run(["degree-d", "--curve", str(curve), "--resolution", "64",
+                "--out", str(out)]) == cli.EXIT_VERIFY
+    assert "Maslov loop phase: Nyquist-band" in capsys.readouterr().err
+    assert not out.exists()
+    # the same aliased winding in a report's loops
+    th = 2 * np.pi * np.arange(64) / 64
+    rep = copy.deepcopy(report64)
+    for side in ("plus", "minus"):
+        rep["loops"][side + "_re"] = np.cos(16 * th).tolist()
+        rep["loops"][side + "_im"] = np.sin(16 * th).tolist()
+    path = tmp_path / "aliased.json"
+    path.write_text(json.dumps(rep))
+    cert = tmp_path / "cert.json"
+    assert run(["certificate", "--bundle", str(path),
+                "--out", str(cert)]) == cli.EXIT_VERIFY
+    assert "Maslov loop phase: Nyquist-band" in capsys.readouterr().err
+    assert not cert.exists()
+
+
+@pytest.mark.parametrize("degree, resolution", [(1, 64), (3, 64), (16, 128)])
+def test_resolved_loop_windings_certify(tmp_path, degree, resolution):
+    if degree == 1:
+        argv = ["degree1", "--c", "0.3"]
+    else:
+        curve = tmp_path / "curve.json"
+        curve.write_text(json.dumps({3: CURVE3, 16: CURVE16}[degree]))
+        argv = ["degree-d", "--curve", str(curve)]
+    report, cert = tmp_path / "r.json", tmp_path / "c.json"
+    assert run(argv + ["--resolution", str(resolution),
+                       "--out", str(report)]) == cli.EXIT_PASS
+    assert run(["certificate", "--bundle", str(report),
+                "--out", str(cert)]) == cli.EXIT_PASS
+    data = json.loads(cert.read_text())
+    assert data["maslovPlus"] == data["maslovMinus"] == 2 * degree
+    assert data["reducedIndex"] == 4 * degree - 1
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))

@@ -13,6 +13,7 @@ from foldedmaps import harmonic as H
 from foldedmaps import moduli as Mo
 from foldedmaps import sphere as S
 from foldedmaps import tunneling as T
+from foldedmaps.config import GridDefaults
 from foldedmaps.errors import (DomainError, InputError,
                                NonImmersedBoundaryError, TierViolationError,
                                VerificationError)
@@ -84,6 +85,62 @@ def test_family_chart_energies_converge_under_refinement(c):
         for coarse, fine in zip(errs, errs[1:]):
             assert fine <= max(coarse / 100, 1e-14)
         assert errs[-1] <= 1e-14
+
+
+# the default radial node count, and the four times finer reference grid
+# its chart energies are pinned against
+NR_DEFAULT = GridDefaults().radial_nodes
+NR_FINE = 4 * NR_DEFAULT
+
+
+def _relative_gap(coarse, fine):
+    return max(abs(a - b) / abs(b) for a, b in zip(coarse, fine))
+
+
+@pytest.mark.parametrize("c_abs", [0.0, 0.3, 0.6, 0.9, 0.99])
+def test_default_radial_nodes_resolve_the_family_charts(c_abs):
+    # E_u+- = 1 -+ |c|^2 to 1e-14 on the default grid, which agrees with
+    # a 4x finer one to 1e-13 relative
+    c, m = c_abs * np.exp(0.4j), np.exp(1.1j)
+    energies = {}
+    for nr in (NR_DEFAULT, NR_FINE):
+        energies[nr] = [Mo._chart(*Mo._family_planes(c, m, 128, nr, side))[1]
+                        for side in (1, -1)]
+    for e, target in zip(energies[NR_DEFAULT], (1 - c_abs ** 2,
+                                                1 + c_abs ** 2)):
+        assert abs(e - target) <= 1e-14
+    assert _relative_gap(energies[NR_DEFAULT], energies[NR_FINE]) <= 1e-13
+
+
+def test_default_radial_nodes_resolve_the_curve_charts(monkeypatch):
+    # every admissible curve (a z^d, beta z^k), a = sqrt(1 - beta^2), with
+    # d <= 18, k in {0, d // 2, d - 1} and beta in {0.1, 0.6, 0.95}: its
+    # E_u+- on the default grid agree with a 4x finer one to 1e-13
+    # relative (4e-14 measured; 48 nodes read 1.6e-10); the immersion
+    # floor rejects 6 of the 153 at d >= 15, k = 0
+    fields = _capture_f_log(monkeypatch)
+    m_res, worst, admissible = 64, 0.0, 0
+    for d in range(1, 19):
+        for k in sorted({0, d // 2, d - 1}):
+            for beta in (0.1, 0.6, 0.95):
+                curve = Mo.CurveInput(
+                    np.r_[np.zeros(d), np.sqrt(1 - beta ** 2)],
+                    np.r_[np.zeros(k), beta], 1.0)
+                try:
+                    bundle = Mo.construct_degree_d(curve, 1.0, m_res,
+                                                   NR_DEFAULT)
+                except NonImmersedBoundaryError:
+                    continue
+                admissible += 1
+                rho = fields[-1].kind.rho
+                fine = [Mo._chart(*Mo._curve_planes(
+                    curve, f_log, rho, m_res, NR_FINE, side))[1]
+                    for f_log, side in ((None, 1), (fields[-1], -1))]
+                worst = max(worst, _relative_gap(
+                    [bundle.energies["E_u_plus"],
+                     bundle.energies["E_u_minus"]], fine))
+    assert admissible == 147
+    assert worst <= 1e-13
 
 
 def test_family_c0_boundary_is_characteristic():
@@ -219,22 +276,41 @@ def test_sign_violation_blocks_match_whole_chart_formula(chart, side, tamper):
     assert (got > 0.0) == (tamper == "outside")
 
 
-def test_build_and_verify_heap_stays_within_one_sample():
-    # every ladder and chart temporary is one ring block: at M = 2048 the
-    # heap peak of a build and its verification sits less than one
-    # sample's planes (13.2 MB) above the bundle they leave
+def _heap_above_bundle(build):
+    """A build at M = 2048 and the tracemalloc peak of it and its
+    verification above the bundle it leaves, after a warm-up at 64."""
     import tracemalloc
-    param = Mo.ModuliParam(0.3 + 0.2j, 0.6 + 0.8j)
-    Mo.verify_folded_holomorphic(Mo.degree1_family(param, 64))
+    Mo.verify_folded_holomorphic(build(64))
     tracemalloc.start()
     try:
-        bundle = Mo.degree1_family(param, 2048)
+        bundle = build(2048)
         live = tracemalloc.get_traced_memory()[0]
         Mo.verify_folded_holomorphic(bundle)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - live < bundle.pair.v_plus.planes.nbytes, (peak, live)
+    return bundle, peak - live
+
+
+def test_build_and_verify_heap_stays_within_one_sample():
+    # every ladder and chart temporary is one ring block: at M = 2048 the
+    # heap peak of a build and its verification sits less than one
+    # sample's planes (7.9 MB) above the bundle they leave
+    param = Mo.ModuliParam(0.3 + 0.2j, 0.6 + 0.8j)
+    bundle, above = _heap_above_bundle(
+        lambda m_res: Mo.degree1_family(param, m_res))
+    assert above < bundle.pair.v_plus.planes.nbytes, above
+
+
+def test_degree_d_build_and_verify_heap_stays_within_one_sample():
+    # both tunneling maps of a construction are sampled one ring block at
+    # a time: at M = 2048 the peak sits about 5 MB above the bundle, less
+    # than one sample's 7.9 MB of planes (full-ladder temporaries reached
+    # 15.5 MB)
+    curve = _power_curve(2, 0.3 + 0.2j, 0.6 + 0.8j)
+    bundle, above = _heap_above_bundle(
+        lambda m_res: Mo.construct_degree_d(curve, curve.m, m_res))
+    assert above < bundle.pair.v_plus.planes.nbytes, above
 
 
 def test_verification_report_keeps_nan():
