@@ -24,6 +24,8 @@ from .harmonic import (BoundaryLoopSamples, ExteriorPunctured,
 from .tunneling import ConjugatePair, derived_fields, gap_function
 
 TWO_PI = 2.0 * np.pi
+BAND_NOISE_RTOL = 1e-12   # relative size below which a term is round-off
+FRAME_DET_FLOOR = 1e-6    # |det| below which a loop is not totally real
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +216,7 @@ class BHandle:
         c_in_l = (1.0 - d.a_samples) * xi.xi_l - fl
         ae_k, ae_l = c_in_k, -c_in_l
         ae_k = sp.band_limit(ae_k)               # frame data trusted to M/4
-        if np.max(np.abs(ae_k)) < 1e-12 * max(1.0, xi.max_abs()):
+        if np.max(np.abs(ae_k)) < BAND_NOISE_RTOL * max(1.0, xi.max_abs()):
             q_k = np.zeros(xi.m)                 # input at noise level
             q_l = np.zeros(xi.m)
         else:
@@ -251,7 +253,8 @@ def graph_check_dDeltaZ(xi_hat: BoundarySectionEF,
     # constructive recipe: g from the Neumann problem, then the trace formula
     f_k, f_l = handle._f_complexified(xi_hat.xi_f)
     neumann = sp.band_limit(sp.theta_derivative(f_k))
-    if np.max(np.abs(neumann)) < 1e-12 * max(1.0, xi_hat.max_abs()):
+    if (np.max(np.abs(neumann))
+            < BAND_NOISE_RTOL * max(1.0, xi_hat.max_abs())):
         g_trace = np.zeros(xi_hat.m)
     else:
         g_field = solve_neumann_vanishing(
@@ -380,7 +383,7 @@ def maslov_index(loop: TotallyRealLoop) -> int:
     """
     dets = loop.dets()
     size = np.abs(dets)
-    if np.min(size) < 1e-6:
+    if np.min(size) < FRAME_DET_FLOOR:
         raise DomainError(
             "loop is not totally real: frame determinant vanishes "
             f"(min {np.min(size):.3e})")
