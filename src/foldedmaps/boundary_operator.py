@@ -26,6 +26,7 @@ from .tunneling import ConjugatePair, derived_fields, gap_function
 TWO_PI = 2.0 * np.pi
 BAND_NOISE_RTOL = 1e-12   # relative size below which a term is round-off
 FRAME_DET_FLOOR = 1e-6    # |det| below which a loop is not totally real
+TANGENCY_RTOL = 1e-13     # relative e_K part of a section tangent to the fold
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +246,8 @@ def graph_check_dDeltaZ(xi_hat: BoundarySectionEF,
     through the Dirichlet-extension trace pair.  Returns the sup distance
     of the two results over the fold.
     """
-    if np.max(np.abs(xi_hat.xi_k)) > 1e-13 * max(1.0, xi_hat.max_abs()):
+    if (np.max(np.abs(xi_hat.xi_k))
+            > TANGENCY_RTOL * max(1.0, xi_hat.max_abs())):
         raise DomainError("deformation sections must be tangent to the fold")
     handle = BHandle(data)
     via_b = handle.apply(xi_hat)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .errors import (DomainError, InputError, NonImmersedBoundaryError,
                      TierViolationError, VerificationError)
 from .harmonic import BoundaryLoopSamples, LaurentField, solve_f_degree_d
 from .sphere import (CharacteristicParam, FoldPoint, ProjectivePoint,
-                     _block_rings, chart_omega_energy, gauss_legendre_radial,
-                     hopf_project)
+                     chart_ring_sums, gauss_legendre_radial, hopf_project,
+                     ring_blocks)
 from .tunneling import (ConjugacyReport, ConjugatePair, Ladder,
                         TunnelMapSample, check_conjugate, default_ladder,
                         fold_data, ladder_planes, sample_tunnel_map,
@@ -46,6 +46,8 @@ RESIDUAL_PASS_TOL = 1e-7
 LOWER_BALL_TOL = 1e-8
 # the fold radii find_circular_fold accepts; a fold outside violates Tier 1
 FOLD_RADIUS_RANGE = (1e-6, 1e6)
+HOLOMORPHY_SCALE_FLOOR = 1e-300  # so an all-zero chart's residual reads 0
+RAY_PHASE_CUT = 1e-12   # a path whose largest |c| is below lies on no ray
 
 
 def det_omega_closed_form(x0: np.ndarray) -> np.ndarray:
@@ -107,7 +109,7 @@ class ChartGrid:
         negative modes; the residual compares every ring against the
         coefficients fitted at the outermost ring, plus the negative-mode
         content, normalized by the sample scale.  After the outermost
-        ring's FFT, the rings are swept in blocks of `_block_rings`.
+        ring's FFT, the rings are swept in `ring_blocks`.
         """
         planes, m = self.planes, self.m
         # modes 0..M/4 and -M/4..-1, in FFT order
@@ -116,18 +118,17 @@ class ChartGrid:
         r = self.radii
         outer = (np.fft.fft(planes[:, -1], axis=-1) / m)[:, None, pos]
         scale = res_pos = res_neg = 0.0
-        step = _block_rings(16 * m)
         # np.maximum, unlike max, keeps a NaN of either operand
-        for i0 in range(0, len(r), step):
-            block = planes[:, i0:i0 + step]
+        for rows in ring_blocks(len(r), m):
+            block = planes[:, rows]
             coef = np.fft.fft(block, axis=-1) / m
-            ratio = (r[i0:i0 + step, None] / r[-1]) ** n_pos
+            ratio = (r[rows, None] / r[-1]) ** n_pos
             scale = np.maximum(scale, np.max(np.abs(block)))
             res_pos = np.maximum(res_pos, np.max(np.abs(
                 coef[..., pos] - outer * ratio)))
             res_neg = np.maximum(res_neg, np.max(np.abs(coef[..., neg])))
         return float(np.maximum(res_pos, res_neg)
-                     / np.maximum(scale, 1e-300))
+                     / np.maximum(scale, HOLOMORPHY_SCALE_FLOOR))
 
     def sign_violation(self, side: int) -> float:
         """How far det(omega) on the chart falls short of the side's sign.
@@ -135,10 +136,9 @@ class ChartGrid:
         det(omega) is positive on the upper chart and negative on the
         lower one, whose transverse coordinate is -x0.
         """
-        step, short = _block_rings(16 * self.m), 0.0
-        for i0 in range(0, len(self.radii), step):
-            x0 = _x0(self.planes[:, i0:i0 + step])
-            tau = det_omega_closed_form(side * x0)
+        short = 0.0
+        for rows in ring_blocks(len(self.radii), self.m):
+            tau = det_omega_closed_form(side * _x0(self.planes[:, rows]))
             short = np.maximum(short, -np.min(side * tau))
         # keeps NaN; a tie returns the second operand, so -0.0 reads +0.0
         return float(np.maximum(short, 0.0))
@@ -211,44 +211,53 @@ class VerificationReport:
 # degree-1 family
 
 
-def _chart(radii: np.ndarray, weights: np.ndarray, y: np.ndarray,
-           dy: np.ndarray) -> tuple[ChartGrid, float]:
-    """A side's chart grid of (2, nr, M) value planes y, and its energy.
+def _chart(radii: np.ndarray, weights: np.ndarray, m_res: int,
+           block: Callable) -> tuple[ChartGrid, float]:
+    """A side's chart grid and its omega energy, in one ring-block pass.
 
-    The omega energy is the closed-form holomorphic density of
-    `chart_omega_energy`, integrated from the exact radial derivative
-    planes dy, which the grid does not keep.  Every chart of both
-    constructions is holomorphic in its sample coordinate.
+    For each of the `ring_blocks` rows, block(rows, y) writes the chart's
+    values into the (2, n, M) view y of the grid's planes and returns
+    their exact d/dr, which `chart_ring_sums` integrates over the angles
+    and no grid keeps.  Every chart of both constructions is holomorphic
+    in its sample coordinate, as that closed-form density needs.
     """
-    return (ChartGrid(radii, weights, y),
-            chart_omega_energy(y, dy, radii, weights))
+    planes = np.empty((2, len(radii), m_res), complex)
+    sums = np.empty(len(radii))
+    for rows in ring_blocks(len(radii), m_res):
+        y = planes[:, rows]
+        sums[rows] = chart_ring_sums(y, block(rows, y))
+    # ring integral: (2 pi / M) * r * (4 / pi) * the sum over the angles
+    return (ChartGrid(radii, weights, planes),
+            float(np.dot(weights, sums * radii)) * (8.0 / m_res))
 
 
-def _family_planes(c: complex, m: complex, m_res: int, nr: int, side: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Radii, weights and the (2, nr, M) value and exact d/dr planes of
-    one side's chart in the degree-1 family.
+def _family_chart(c: complex, m: complex, m_res: int, nr: int, side: int
+                  ) -> tuple[ChartGrid, float]:
+    """One side's chart grid in the degree-1 family, and its energy.
 
     The upper chart is (r0 m z, m c) and the lower one, in the inverted
     coordinate zeta = 1/z, is (r0 m zeta, m c zeta^2).  Each plane is the
     outer product of a per-ring real and a per-angle phase; e^{2i theta_k}
-    is the sampled e^{i theta} read at the exact index 2k mod M.
+    is the sampled e^{i theta} read at the exact index 2k mod M.  The d/dr
+    rows r0 m e^{i theta} and 0 or 2 r m c e^{2i theta} broadcast against
+    each block.
     """
     r0 = np.sqrt(1.0 - abs(c) ** 2)
     radii, weights = gauss_legendre_radial(nr)
     ph = np.exp(1j * sp.angles(m_res))
-    y = np.empty((2, nr, m_res), complex)
-    dy = np.empty_like(y)
-    np.multiply(radii[:, None], r0 * m * ph, out=y[0])
-    dy[0] = r0 * m * ph
-    if side > 0:
-        y[1] = m * c
-        dy[1] = 0.0
-    else:
-        ph2 = m * c * ph[2 * np.arange(m_res) % m_res]
-        np.multiply((radii * radii)[:, None], ph2, out=y[1])
-        np.multiply((2.0 * radii)[:, None], ph2, out=dy[1])
-    return radii, weights, y, dy
+    row = r0 * m * ph
+    ph2 = m * c * ph[2 * np.arange(m_res) % m_res]
+
+    def block(rows, y):
+        r = radii[rows, None]
+        np.multiply(r, row, out=y[0])
+        if side > 0:
+            y[1] = m * c
+            return row, 0.0
+        np.multiply(r * r, ph2, out=y[1])
+        return row, 2.0 * r * ph2
+
+    return _chart(radii, weights, m_res, block)
 
 
 def _unit(planes: np.ndarray) -> np.ndarray:
@@ -294,12 +303,6 @@ def _family_ladder(c: complex, m: complex, m_res: int, side: int,
     return TunnelMapSample(r0, ladder, planes, CharacteristicParam(m), side)
 
 
-def _side(chart: tuple[ChartGrid, float], v: TunnelMapSample
-          ) -> tuple[ChartGrid, float, TunnelMapSample, float]:
-    """One side's (chart grid, chart energy, tunneling map, its energy)."""
-    return (*chart, v, tunneling_omega_energy(v))
-
-
 def _assemble(sides: tuple[tuple, tuple], boundary_plus: np.ndarray,
               boundary_minus: np.ndarray, psi_scale: float,
               label: str) -> FoldedMapBundle:
@@ -340,8 +343,10 @@ def degree1_family(param: ModuliParam, m_res: int,
     ladder = default_ladder()
 
     def sample_side(side):
-        return _side(_chart(*_family_planes(c, m, m_res, nr, side)),
-                     _family_ladder(c, m, m_res, side, ladder))
+        # (chart grid, chart energy, tunneling map, its energy)
+        v = _family_ladder(c, m, m_res, side, ladder)
+        return (*_family_chart(c, m, m_res, nr, side), v,
+                tunneling_omega_energy(v))
 
     sides = both(sample_side, 1, -1)
 
@@ -409,17 +414,15 @@ def compactification_sample(c_values: np.ndarray, m: complex, m_res: int,
     closed characteristic.
     """
     c_values = np.asarray(c_values, dtype=complex)
-    mags = np.abs(c_values)
-    phases = np.where(mags > 1e-12, c_values / np.where(mags > 0, mags, 1), 1.0)
-    ray_phase = phases[np.argmax(mags)]
+    c_ray = c_values[np.argmax(np.abs(c_values))]
+    limit = m * (c_ray / abs(c_ray) if abs(c_ray) > RAY_PHASE_CUT else 1.0)
+    label = f"(0,{limit.real:.12g}{limit.imag:+.12g}j)"
     rows = []
     for c in c_values:
         param = ModuliParam(complex(c), m)
         _check_family_c(param.c)
-        _, ep = _chart(*_family_planes(param.c, param.m, m_res, nr, 1))
-        _, em = _chart(*_family_planes(param.c, param.m, m_res, nr, -1))
-        limit = m * ray_phase
-        label = f"(0,{limit.real:.12g}{limit.imag:+.12g}j)"
+        _, ep = _family_chart(param.c, param.m, m_res, nr, 1)
+        _, em = _family_chart(param.c, param.m, m_res, nr, -1)
         rows.append(CompactificationRow(float(abs(c)), ep, em, ep + em, label))
     return rows
 
@@ -526,50 +529,52 @@ def find_circular_fold(curve: CurveInput) -> float:
     return rho
 
 
-def _curve_planes(curve: CurveInput, f_log: Optional[LaurentField],
-                  rho: float, m_res: int, nr: int, side: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Radii, weights and the (2, nr, M) value and exact d/dr planes of
-    one side's chart in the degree-d construction.
+def _curve_chart(curve: CurveInput, f_log: Optional[LaurentField],
+                 rho: float, m_res: int, nr: int, side: int
+                 ) -> tuple[ChartGrid, float]:
+    """One side's chart grid in the degree-d construction, and its energy.
 
     The upper chart (side +1) is the curve w on the fold disk |z| <= rho,
     with d/dr = e^{i theta} w'(z); it needs no f_log.  The lower chart is
     u_- = f w at z = 1/zeta, f = exp(F) (z/rho)^k the multiplier of the
     log-scale field F: it is sampled on the circles |z| = 1/|zeta| at the
     angles of z and reindexed to the zeta angle, and d/d|zeta| = -|z|^2
-    d/dr with d/dr f = f (d/dr F + k/r), written in `_block_rings` blocks.
+    d/dr with d/dr f = f (d/dr F + k/r).  A lower block that leaves the
+    ball raises before its energy is integrated.
     """
     radii, weights = gauss_legendre_radial(nr)
     ph = np.exp(1j * sp.angles(m_res))[None, :]
     if side > 0:
-        z = rho * radii[:, None] * ph
-        dy = curve.derivative(z)
-        dy *= ph
-        return rho * radii, rho * weights, curve.eval(z), dy
+        def upper(rows, y):
+            z = rho * radii[rows, None] * ph
+            y[...] = curve.eval(z)
+            return curve.derivative(z) * ph
+
+        return _chart(rho * radii, rho * weights, m_res, upper)
     zeta_r = radii / rho
     zr = 1.0 / zeta_r
     flip = (-np.arange(m_res)) % m_res
-    y = np.empty((2, nr, m_res), complex)
-    dy = np.empty_like(y)
-    step = _block_rings(16 * m_res)
-    for i0 in range(0, nr, step):
-        rows, r = slice(i0, i0 + step), zr[i0:i0 + step]
+
+    def lower(rows, y):
+        r = zr[rows]
         z = r[:, None] * ph
         f = f_log.multiplier_samples(r)
         df = f * (f_log.radial_derivative(r)
                   + f_log.puncture_pole_order / r[:, None])
+        dy = np.empty_like(y)
         for k, (w, dw) in enumerate(zip(curve.eval(z), curve.derivative(z))):
             # the multiplier stays the first operand, which decides the
             # rounding of the product
-            y[k, rows] = (f * w)[:, flip]
-            dy[k, rows] = (df * w + f * (ph * dw))[:, flip]
-    over = np.max(np.sqrt(np.abs(y[0]) ** 2 + np.abs(y[1]) ** 2))
-    if not over <= 1.0 + LOWER_BALL_TOL:       # negated, so NaN fails too
-        raise VerificationError(
-            f"|f w| exceeds 1 on the lower domain (max {over:.6f}); "
-            "the curve leaves the lower hemisphere")
-    dy *= -(zr ** 2)[:, None]
-    return zeta_r, weights / rho, y, dy
+            y[k] = (f * w)[:, flip]
+            dy[k] = (df * w + f * (ph * dw))[:, flip]
+        over = np.max(np.sqrt(np.abs(y[0]) ** 2 + np.abs(y[1]) ** 2))
+        if not over <= 1.0 + LOWER_BALL_TOL:       # negated, so NaN fails too
+            raise VerificationError(
+                f"|f w| exceeds 1 on the lower domain (max {over:.6f}); "
+                "the curve leaves the lower hemisphere")
+        return dy * -(r ** 2)[:, None]
+
+    return _chart(zeta_r, weights / rho, m_res, lower)
 
 
 def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
@@ -581,6 +586,7 @@ def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
     object the harmonic engine solves, with the phase pinned through the
     marker on the limiting characteristic.  Two `both` phases follow that
     chain: v_+ beside the upper chart, then the lower chart beside v_-.
+    Each chart is sampled and integrated in one pass over ring blocks.
     """
     nr = nr or CONFIG.grid.radial_nodes
     d = curve.degree
@@ -627,7 +633,7 @@ def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
     # upper side on the fold disk, the lower side in zeta = 1/z
     (vp, (data, t_marker), e_vp), chart_p = both(
         lambda task: task(), tunnel_plus,
-        lambda: _chart(*_curve_planes(curve, None, rho, m_res, nr, 1)))
+        lambda: _curve_chart(curve, None, rho, m_res, nr, 1))
     # normalization multiplier from the harmonic engine
     if data is None:
         data = np.zeros(m_res)
@@ -635,7 +641,7 @@ def construct_degree_d(curve: CurveInput, m: complex, m_res: int,
                              x.point(t_marker), x, d)
     chart_m, (vm, e_vm) = both(
         lambda task: task(),
-        lambda: _chart(*_curve_planes(curve, f_log, rho, m_res, nr, -1)),
+        lambda: _curve_chart(curve, f_log, rho, m_res, nr, -1),
         tunnel_minus)
 
     boundary_plus = curve.eval(rho * np.exp(1j * th))

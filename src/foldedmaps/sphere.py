@@ -29,7 +29,7 @@ from .errors import DomainError
 
 TWO_PI = 2.0 * np.pi
 TANGENT_TOL = 1e-10    # TangentAtFold: largest |<p, v>| / max(1, |v|)
-HEMISPHERE_TOL = 1e-9  # chart_of_hemisphere: how far past the equator
+HEMISPHERE_TOL = 1e-9  # how far past the equator a hemisphere point may lie
 CHARACTERISTIC_TOL = 1e-8  # CharacteristicParam.parameter_of: largest |w|
 
 # bytes of rows per ring block: 8 complex rings at M = 2048, so one
@@ -38,9 +38,11 @@ CHARACTERISTIC_TOL = 1e-8  # CharacteristicParam.parameter_of: largest |w|
 _BLOCK_BYTES = 8 * 2048 * 16
 
 
-def _block_rings(row_bytes: int) -> int:
-    """Rings per block of a ring-block pass over rows of row_bytes."""
-    return max(8, _BLOCK_BYTES // row_bytes)
+def ring_blocks(n_rings: int, m: int) -> list[slice]:
+    """Row slices of the ring blocks over n_rings rings of M samples."""
+    step = max(8, _BLOCK_BYTES // (16 * m))
+    return [slice(i0, min(i0 + step, n_rings))
+            for i0 in range(0, n_rings, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +261,7 @@ def embed_hemisphere(side: int, y: np.ndarray) -> Point4Sphere:
         raise DomainError(f"side must be +1 or -1, got {side!r}")
     y = np.asarray(y, dtype=complex)
     n2 = float(np.real(np.vdot(y, y)))
-    if n2 > 1.0 + 1e-9:
+    if n2 > 1.0 + HEMISPHERE_TOL:
         raise DomainError(f"|y| > 1: |y|^2 = {n2!r}")
     d = 1.0 + n2
     vec = 2.0 * y / d
@@ -437,7 +439,7 @@ def omega_energy(y: np.ndarray, radii: np.ndarray, weights: np.ndarray,
     the equator map Pi: spectral in the angle, and in the radius the
     exact derivative planes dy when given, otherwise a barycentric
     differentiation matrix over the radial nodes.  Any chart will do;
-    `chart_omega_energy` is the fast route for holomorphic ones.
+    `chart_ring_sums` is the fast route for holomorphic ones.
     """
     y = np.asarray(y, dtype=complex)
     radii = np.asarray(radii, dtype=float)
@@ -460,33 +462,23 @@ def omega_energy(y: np.ndarray, radii: np.ndarray, weights: np.ndarray,
     return float(np.dot(np.asarray(weights, dtype=float), rings))
 
 
-def chart_omega_energy(y: np.ndarray, dy: np.ndarray, radii: np.ndarray,
-                       weights: np.ndarray) -> float:
-    """Omega energy of a chart that is holomorphic in its sample coordinate.
+def chart_ring_sums(y: np.ndarray, dy) -> np.ndarray:
+    """Angle sums, ring by ring, of a holomorphic chart's omega density.
 
-    y and dy are (2, nr, M) planes of ball-chart samples and their exact
-    radial derivatives at the given radii.  The chart must be holomorphic
-    in the coordinate r e^{i theta} it is sampled in, which
-    `ChartGrid.holomorphy_residual` certifies: then d/dtheta y = i r dy,
-    and the omega density Im<d_r Pi(y), d_theta Pi(y)> / pi of the
+    y is a (2, n, M) block of ball-chart samples and dy the pair of their
+    exact radial derivatives, each broadcasting against y[0].  The chart
+    must be holomorphic in the coordinate r e^{i theta} it is sampled in,
+    which `ChartGrid.holomorphy_residual` certifies: then d/dtheta y =
+    i r dy, and the omega density Im<d_r Pi(y), d_theta Pi(y)> / pi of the
     equator map Pi(y) = 2 y / d, d = 1 + |y|^2, is the closed form
-    r (4 |dy|^2 / d^2 - 8 |<y, dy>|^2 / d^3) / pi.  One pass over blocks
-    of `_block_rings` rings integrates it ring by ring, with no equator
-    map, no d/dtheta and no grid-sized temporary.  A chart that is not
-    holomorphic needs `omega_energy`.
+    r (4 |dy|^2 / d^2 - 8 |<y, dy>|^2 / d^3) / pi, here without its 4 r / pi
+    and with no equator map or d/dtheta.  Other charts need `omega_energy`.
     """
-    nr, m = y.shape[1:]
-    rings = np.empty(nr)
-    step = _block_rings(16 * m)
-    for i0 in range(0, nr, step):
-        y0, y1 = y[:, i0:i0 + step]
-        dy0, dy1 = dy[:, i0:i0 + step]
-        d = 1.0 + np.abs(y0) ** 2 + np.abs(y1) ** 2
-        inner = np.conj(y0) * dy0 + np.conj(y1) * dy1
-        # (|dy|^2 - 2 |<y, dy>|^2 / d) / d^2
-        density = (np.abs(dy0) ** 2 + np.abs(dy1) ** 2
-                   - 2.0 * np.abs(inner) ** 2 / d) / (d * d)
-        rings[i0:i0 + step] = np.sum(density, axis=-1)
-    # ring integral: (2 pi / M) * r * (4 / pi) * the sum over the angles
-    rings *= radii
-    return float(np.dot(np.asarray(weights, float), rings)) * (8.0 / m)
+    y0, y1 = y
+    dy0, dy1 = dy
+    d = 1.0 + np.abs(y0) ** 2 + np.abs(y1) ** 2
+    inner = np.conj(y0) * dy0 + np.conj(y1) * dy1
+    # (|dy|^2 - 2 |<y, dy>|^2 / d) / d^2
+    density = (np.abs(dy0) ** 2 + np.abs(dy1) ** 2
+               - 2.0 * np.abs(inner) ** 2 / d) / (d * d)
+    return np.sum(density, axis=-1)

@@ -23,7 +23,7 @@ from .errors import (DomainError, GapSignError, NonTransverseCrossingError,
                      VerificationError)
 from .harmonic import BoundaryLoopSamples, ExteriorPunctured, \
     solve_neumann_vanishing
-from .sphere import CharacteristicParam, _block_rings
+from .sphere import CharacteristicParam, ring_blocks
 
 TWO_PI = 2.0 * np.pi
 
@@ -37,6 +37,9 @@ PUNCTURE_FIT_DEGREE = 6
 HOPF_MODE_FLOOR = 1e-14       # leading Hopf mode too small to have a phase
 HOPF_MODE_MISMATCH_FLOOR = 1e-12  # a larger unmatched mode is a mismatch
 DELTA_MAX = 12.0              # asymptotic_energy weights lie in (0, DELTA_MAX]
+TAIL_DENSITY_FLOOR = 1e-300   # tail rings the decay fit may take the log of
+DIVERGENT_TAIL_FLOOR = 1e-12  # a tail this small is round-off, not growth
+FOLD_DATA_SCALE_FLOOR = 1e-3  # fold data noise is relative to at least this
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +179,9 @@ class TunnelMapSample:
             raise DomainError("ring ladder shape mismatch")
         # swept in ring blocks, so the norm temporaries stay block-sized;
         # the negated test rejects NaN samples too
-        step, top = _block_rings(self.planes[0, 0].nbytes), np.zeros(2)
-        for i0 in range(0, self.n_rings, step):
-            mod = np.abs(self.planes[:, i0:i0 + step])
+        top = np.zeros(2)
+        for rows in ring_blocks(self.n_rings, self.m):
+            mod = np.abs(self.planes[:, rows])
             top = np.maximum(top, np.max(mod, axis=(1, 2)))
             if not np.max(np.abs(mod[0] ** 2 + mod[1] ** 2 - 1.0)) <= S3_TOL:
                 raise DomainError("ring samples must lie on S^3")
@@ -209,15 +212,14 @@ class TunnelMapSample:
 def ladder_planes(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   radii: np.ndarray, m: int) -> np.ndarray:
     """(2, R, M) planes of fn(r, z) over the rings |z| = radii, written one
-    `_block_rings` block of rings r (n,) and their points z (n, M) at a
+    of the `ring_blocks` of rings r (n,) and their points z (n, M) at a
     time, so fn's temporaries stay block-sized.  fn must act row by row.
     """
     ph = np.exp(1j * sp.angles(m))
     planes = np.empty((2, len(radii), m), complex)
-    step = _block_rings(16 * m)
-    for i0 in range(0, len(radii), step):
-        r = radii[i0:i0 + step]
-        planes[:, i0:i0 + step] = fn(r, r[:, None] * ph)
+    for rows in ring_blocks(len(radii), m):
+        r = radii[rows]
+        planes[:, rows] = fn(r, r[:, None] * ph)
     return planes
 
 
@@ -270,13 +272,14 @@ def derived_fields(v: TunnelMapSample) -> _Derived:
     x = v.planes.view(float)                   # (2, R, 2M)
     alpha_t = np.empty((r, m))
     alpha_u = np.empty((r, m))
-    step = min(_block_rings(a[0].nbytes), r)
+    blocks = ring_blocks(r, m)
+    step = blocks[0].stop                      # the first block is the longest
     du = np.empty((2, step, 2 * m))
     conj = np.empty((2, step, m), complex)
     ta = np.empty((step, m), complex)
     tb = np.empty((step, m), complex)
-    for i0 in range(0, r, step):
-        i1 = min(i0 + step, r)
+    for rows in blocks:
+        i0, i1 = rows.start, rows.stop
         n = i1 - i0
         dth_a, dth_b = sp.theta_derivative(v.planes[:, i0:i1])
         if i0 == 0:
@@ -386,20 +389,17 @@ def asymptotic_energy(v: TunnelMapSample, delta: float) -> EnergyProfile:
     dens = np.abs(a_s) ** 2 + a_t_s ** 2 + a_t_t ** 2 + pf2
     ring_density = np.mean(dens, axis=1) * np.exp(delta * s)
 
-    e_r = np.empty(v.n_rings)
-    for i in range(v.n_rings):
-        if i == v.n_rings - 1:
-            e_r[i] = 0.0
-        else:
-            e_r[i] = simpson(ring_density[i:], x=s[i:])
+    e_r = np.zeros(v.n_rings)
+    for i in range(v.n_rings - 1):
+        e_r[i] = simpson(ring_density[i:], x=s[i:])
     tail = ring_density[2 * v.n_rings // 3:-1]
     s_tail = s[2 * v.n_rings // 3:-1]
-    good = tail > 1e-300
+    good = tail > TAIL_DENSITY_FLOOR
     if np.count_nonzero(good) >= 2:
         slope = float(np.polyfit(s_tail[good], np.log(tail[good]), 1)[0])
     else:
         slope = -np.inf
-    divergent = slope >= 0 and float(np.max(tail)) > 1e-12
+    divergent = slope >= 0 and float(np.max(tail)) > DIVERGENT_TAIL_FLOOR
     return EnergyProfile(v.radii(), e_r, slope, delta, divergent)
 
 
@@ -493,7 +493,7 @@ def fold_data(v: TunnelMapSample,
     d = derived_fields(v)
     data = factor * d.alpha_u[0]
     data = data - np.mean(data)  # remove quadrature-level mean noise
-    scale = max(float(np.max(np.abs(d.alpha_t[0]))), 1e-3)
+    scale = max(float(np.max(np.abs(d.alpha_t[0]))), FOLD_DATA_SCALE_FLOOR)
     if np.max(np.abs(data)) < FOLD_DATA_NOISE_RTOL * scale:
         data = None
     return data, -2.0 * float(puncture_parameters(v, n_dirs=1)[0])
@@ -514,14 +514,13 @@ def check_conjugate(pair: ConjugatePair) -> ConjugacyReport:
         raise DomainError("conjugate pair samples lie on different grids")
 
     dp, dm = derived_fields(vp), derived_fields(vm)
-    step = _block_rings(16 * vp.m)
 
     def sweep(rings):
         # omega_+ - omega_- = d(alpha_+ - alpha_-) and the base distance,
         # one ring block at a time; np.maximum keeps a NaN of either operand
         omega = base = 0.0
-        for i0 in range(*rings, step):
-            i1 = min(i0 + step, rings[1])
+        for rows in ring_blocks(rings[1] - rings[0], vp.m):
+            i0, i1 = rings[0] + rows.start, rings[0] + rows.stop
             j0, j1 = vp.ladder.reads(i0, i1)
             du = np.empty((i1 - i0, vp.m))
             vp.ladder.d_u_rows(du, dp.alpha_t[j0:j1] - dm.alpha_t[j0:j1],

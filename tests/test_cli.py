@@ -624,20 +624,20 @@ def test_lower_ball_violation_is_a_verification_error(tmp_path, capsys,
 
     threads = []
     samples = harmonic.LaurentField.multiplier_samples
-    curve_planes = moduli._curve_planes
+    curve_chart = moduli._curve_chart
 
     def doubled(self, r=None):
         return 2.0 * samples(self, r)
 
     def recording(*args):
         try:
-            return curve_planes(*args)
+            return curve_chart(*args)
         except VerificationError:
             threads.append(threading.current_thread().name)
             raise
 
     monkeypatch.setattr(harmonic.LaurentField, "multiplier_samples", doubled)
-    monkeypatch.setattr(moduli, "_curve_planes", recording)
+    monkeypatch.setattr(moduli, "_curve_chart", recording)
     curve = _curve_file(tmp_path, [0, 0, 0.8], [0.6])
     capsys.readouterr()
     assert run(["degree-d", "--curve", curve, "--resolution", "64",

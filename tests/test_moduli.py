@@ -104,7 +104,7 @@ def test_default_radial_nodes_resolve_the_family_charts(c_abs):
     c, m = c_abs * np.exp(0.4j), np.exp(1.1j)
     energies = {}
     for nr in (NR_DEFAULT, NR_FINE):
-        energies[nr] = [Mo._chart(*Mo._family_planes(c, m, 128, nr, side))[1]
+        energies[nr] = [Mo._family_chart(c, m, 128, nr, side)[1]
                         for side in (1, -1)]
     for e, target in zip(energies[NR_DEFAULT], (1 - c_abs ** 2,
                                                 1 + c_abs ** 2)):
@@ -133,8 +133,8 @@ def test_default_radial_nodes_resolve_the_curve_charts(monkeypatch):
                     continue
                 admissible += 1
                 rho = fields[-1].kind.rho
-                fine = [Mo._chart(*Mo._curve_planes(
-                    curve, f_log, rho, m_res, NR_FINE, side))[1]
+                fine = [Mo._curve_chart(
+                    curve, f_log, rho, m_res, NR_FINE, side)[1]
                     for f_log, side in ((None, 1), (fields[-1], -1))]
                 worst = max(worst, _relative_gap(
                     [bundle.energies["E_u_plus"],
@@ -303,14 +303,42 @@ def test_build_and_verify_heap_stays_within_one_sample():
 
 
 def test_degree_d_build_and_verify_heap_stays_within_one_sample():
-    # both tunneling maps of a construction are sampled one ring block at
-    # a time: at M = 2048 the peak sits about 5 MB above the bundle, less
-    # than one sample's 7.9 MB of planes (full-ladder temporaries reached
-    # 15.5 MB)
+    # both tunneling maps and both charts of a construction are built one
+    # ring block at a time: at M = 2048 the peak sits 2.7 MB above the
+    # bundle in 34 of 40 builds and 5.2-5.8 MB in the rest, less than one
+    # sample's 7.9 MB of planes (full-ladder temporaries reached 15.5 MB,
+    # full-grid chart d/dr planes 10.3 MB)
     curve = _power_curve(2, 0.3 + 0.2j, 0.6 + 0.8j)
     bundle, above = _heap_above_bundle(
         lambda m_res: Mo.construct_degree_d(curve, curve.m, m_res))
     assert above < bundle.pair.v_plus.planes.nbytes, above
+
+
+@pytest.mark.parametrize("side", [1, -1], ids=["upper", "lower"])
+@pytest.mark.parametrize("construction", ["degree1", "degree-d"])
+def test_chart_build_heap_stays_within_one_plane_pair(construction, side):
+    # a chart is sampled and integrated one ring block at a time: at
+    # M = 2048 and 64 radial nodes each chart peaks 0.9-3.1 MB above the
+    # grid it returns, below one (2, nr, M) plane pair (4.19 MB); full-grid
+    # d/dr planes took it to 5.3-10.5 MB
+    import tracemalloc
+    m_res, nr = 2048, 64
+    curve, rho, f_log = _varying_multiplier(m_res)
+
+    def build():
+        if construction == "degree1":
+            return Mo._family_chart(0.3 + 0.2j, 0.6 + 0.8j, m_res, nr, side)
+        return Mo._curve_chart(curve, f_log if side < 0 else None, rho,
+                               m_res, nr, side)
+
+    build()
+    tracemalloc.start()
+    try:
+        chart, _ = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - chart.planes.nbytes < chart.planes.nbytes, peak
 
 
 def test_verification_report_keeps_nan():
@@ -349,7 +377,7 @@ def test_nan_multiplier_fails_the_lower_ball_test():
     coeffs[0] = np.nan
     nan_log = H.LaurentField(f_log.kind, coeffs, f_log.puncture_pole_order)
     with pytest.raises(VerificationError, match="lower domain"):
-        Mo._curve_planes(curve, nan_log, rho, M_RES, NR, -1)
+        Mo._curve_chart(curve, nan_log, rho, M_RES, NR, -1)
 
 
 def test_gauge_rotation_invariance():
@@ -684,14 +712,14 @@ def test_lower_chart_derivative_follows_a_varying_multiplier():
     # non-constant modes at most 1e-9), so the lower chart's d/dr term in
     # dF/dr is checked on a field with modes -1 and -2
     curve, rho, f_log = _varying_multiplier(M_RES)
-    chart, energy = Mo._chart(*Mo._curve_planes(curve, f_log, rho, M_RES,
-                                                NR, -1))
+    chart, energy = Mo._curve_chart(curve, f_log, rho, M_RES, NR, -1)
     ref = S.omega_energy(chart.planes, chart.radii, chart.weights)
     assert abs(energy - ref) <= 1e-12 * abs(ref)
 
 
 def _lower_planes_one_pass(curve, f_log, rho, m_res, nr):
-    # the lower chart of `_curve_planes` with every ring in one pass
+    # radii, weights, values and exact d/dr planes of the lower chart of
+    # `_curve_chart`, with every ring in one pass
     radii, weights = S.gauss_legendre_radial(nr)
     ph = np.exp(1j * sp.angles(m_res))[None, :]
     zeta_r = radii / rho
@@ -712,13 +740,19 @@ def _lower_planes_one_pass(curve, f_log, rho, m_res, nr):
 
 @pytest.mark.parametrize("m_res", [64, 256, 1024])
 def test_lower_chart_blocks_match_one_pass(m_res):
-    # one block of the NR = 48 rings at M = 64 and 256, three at M = 1024
+    # one block of the NR = 48 rings at M = 64 and 256, three at M = 1024;
+    # the energy integrates the one-pass planes in one pass too
     curve, rho, f_log = _varying_multiplier(m_res)
-    assert (S._block_rings(16 * m_res) < NR) == (m_res == 1024)
-    got = Mo._curve_planes(curve, f_log, rho, m_res, NR, -1)
-    expected = _lower_planes_one_pass(curve, f_log, rho, m_res, NR)
-    for a, b in zip(got, expected):
+    assert (len(S.ring_blocks(NR, m_res)) > 1) == (m_res == 1024)
+    chart, energy = Mo._curve_chart(curve, f_log, rho, m_res, NR, -1)
+    radii, weights, y, dy = _lower_planes_one_pass(curve, f_log, rho, m_res,
+                                                   NR)
+    for a, b in ((chart.radii, radii), (chart.weights, weights),
+                 (chart.planes, y)):
         assert a.tobytes() == b.tobytes()
+    sums = S.chart_ring_sums(y, dy)
+    expected = float(np.dot(weights, sums * radii)) * (8.0 / m_res)
+    assert np.float64(energy).tobytes() == np.float64(expected).tobytes()
 
 
 def _inline(f, plus, minus):

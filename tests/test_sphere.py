@@ -354,7 +354,9 @@ def test_barycentric_diff_matrix_differentiates_polynomials():
 def test_omega_energy_barycentric_matches_exact_derivative(c, m):
     from foldedmaps import moduli as Mo
     for side in (1, -1):
-        radii, weights, y, dy = Mo._family_planes(c, m, 128, 128, side)
+        chart, _ = Mo._family_chart(c, m, 128, 128, side)
+        radii, weights, y = chart.radii, chart.weights, chart.planes
+        dy = _family_dy(c, m, 128, 128, side)
         energy = S.omega_energy(y, radii, weights)
         assert abs(energy - S.omega_energy(y, radii, weights, dy)) < 1e-12
         # the einsum the matmul replaced, up to its summation order
@@ -408,26 +410,38 @@ def _chart_sides(degree, m_res, nr, monkeypatch):
 
     degree 1 is the degree-1 family; higher degrees the curve
     (r0 m z^d, m c).  The energy is the one the construction integrated,
-    and the d/dr planes, which the charts do not keep, are rebuilt with
-    the construction's own `_family_planes` or `_curve_planes`.
+    and the d/dr planes, which the charts do not keep, are rebuilt on the
+    test side: from the closed forms, from `curve.derivative`, or by
+    `_lower_planes_one_pass`.
     """
     if degree == 1:
         return _family_chart_sides(m_res, nr)
     return _curve_chart_sides(degree, m_res, nr, monkeypatch)
 
 
+def _family_dy(c, m, m_res, nr, side):
+    """The (2, nr, M) exact d/dr planes of a degree-1 family chart: the
+    closed forms r0 m e^{i theta} and 0 (upper) or 2 r m c e^{2i theta}
+    (lower), with e^{2i theta_k} read from e^{i theta} at index 2k mod M."""
+    radii, _ = S.gauss_legendre_radial(nr)
+    ph = np.exp(1j * sp.angles(m_res))
+    dy = np.empty((2, nr, m_res), complex)
+    dy[0] = np.sqrt(1.0 - abs(c) ** 2) * m * ph
+    dy[1] = 0.0 if side > 0 else (2.0 * radii)[:, None] * (
+        m * c * ph[2 * np.arange(m_res) % m_res])
+    return dy
+
+
 def _family_chart_sides(m_res, nr, c=0.4 - 0.3j, m=np.exp(0.9j)):
     from foldedmaps import moduli as Mo
-    sides = []
-    for s in (1, -1):
-        radii, weights, y, dy = Mo._family_planes(c, m, m_res, nr, s)
-        sides.append(Mo._chart(radii, weights, y, dy) + (dy,))
-    return sides
+    return [Mo._family_chart(c, m, m_res, nr, s)
+            + (_family_dy(c, m, m_res, nr, s),) for s in (1, -1)]
 
 
 def _curve_chart_sides(degree, m_res, nr, monkeypatch, c=0.4 - 0.3j,
                        m=np.exp(0.9j)):
     from foldedmaps import moduli as Mo
+    from test_moduli import _lower_planes_one_pass
     r0m = np.sqrt(1 - abs(c) ** 2) * m
     curve = Mo.CurveInput(np.array([0] * degree + [r0m]),
                           np.array([m * c]), m)
@@ -439,10 +453,19 @@ def _curve_chart_sides(degree, m_res, nr, monkeypatch, c=0.4 - 0.3j,
     bundle = Mo.construct_degree_d(curve, m, m_res, nr)
     monkeypatch.undo()
     f_log, = fields
-    return [(chart, bundle.energies[key],
-             Mo._curve_planes(curve, f_log, f_log.kind.rho, m_res, nr, s)[3])
-            for chart, key, s in ((bundle.chart_plus, "E_u_plus", 1),
-                                  (bundle.chart_minus, "E_u_minus", -1))]
+    ph = np.exp(1j * sp.angles(m_res))[None, :]
+    dy_plus = curve.derivative(bundle.chart_plus.radii[:, None] * ph) * ph
+    dy_minus = _lower_planes_one_pass(curve, f_log, f_log.kind.rho, m_res,
+                                      nr)[3]
+    return [(bundle.chart_plus, bundle.energies["E_u_plus"], dy_plus),
+            (bundle.chart_minus, bundle.energies["E_u_minus"], dy_minus)]
+
+
+def _ring_integral(y, dy, radii, weights):
+    """The closed-form energy `moduli._chart` integrates, every ring of
+    the (2, nr, M) planes y and dy in one pass."""
+    sums = S.chart_ring_sums(y, dy)
+    return float(np.dot(weights, sums * radii)) * (8.0 / y.shape[-1])
 
 
 @pytest.mark.parametrize("degree", [1, 3])
@@ -512,7 +535,7 @@ def test_closed_form_chart_energy_matches_fft_route(monkeypatch):
         for chart, energy, dy in sides:
             radii, weights = chart.radii, chart.weights
             y = chart.planes
-            assert S.chart_omega_energy(y, dy, radii, weights) == energy
+            assert _ring_integral(y, dy, radii, weights) == energy
             ref = S.omega_energy(y, radii, weights, dy)
             assert abs(energy - ref) <= 8 * EPS * abs(ref)
 
@@ -530,7 +553,7 @@ def test_closed_form_chart_energy_needs_a_holomorphic_chart():
         dy = np.stack([dfn(z), np.zeros_like(z)])
         ref = S.omega_energy(y, r, w, dy)
         assert abs(ref - fft_energy) < 1e-13
-        assert abs(S.chart_omega_energy(y, dy, r, w) - 1.0) < 1e-13
+        assert abs(_ring_integral(y, dy, r, w) - 1.0) < 1e-13
 
 
 def test_gauss_legendre_radial_is_cached_and_read_only():

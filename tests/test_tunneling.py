@@ -131,7 +131,8 @@ def test_d_u_ring_blocks_match_direct(m):
     ladder = T.default_ladder()
     u = ladder.u
     vals = ladder_values(len(u), m)[..., 0]
-    assert T._block_rings(vals[0].nbytes) == max(8, 16384 // m)
+    assert T.ring_blocks(len(u), m)[0] == slice(0, min(len(u),
+                                                      max(8, 16384 // m)))
     assert ladder.d_u(vals).tobytes() == d_u_direct(vals, u).tobytes()
     real = np.ascontiguousarray(vals.real)
     assert ladder.d_u(real).tobytes() == d_u_direct(real, u).tobytes()
